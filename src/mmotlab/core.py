@@ -216,9 +216,20 @@ class Coupling:
     def permuted(self, sigma: Sequence[int]) -> "Coupling":
         """Push-forward under the coordinate permutation ``sigma``.
 
-        ``sigma[a]`` is the source slot feeding output slot ``a``; all axes
-        must be identical for this to stay inside the same space.
+        ``sigma[a]`` is the source slot feeding output slot ``a``.  Raises
+        ``ValueError`` unless ``sigma`` permutes ``range(n)`` and every axis it
+        moves equals its target slot's axis (same points, weights within
+        ``MASS_TOL``), so that the result stays inside the same space.
         """
+        axes = self.space.axes
+        if sorted(sigma) != list(range(len(axes))):
+            raise ValueError(f"{tuple(sigma)} is not a permutation of range({len(axes)})")
+        for a, src in enumerate(sigma):
+            if src != a and not (
+                np.array_equal(axes[src].points, axes[a].points)
+                and np.max(np.abs(axes[src].weights - axes[a].weights)) <= MASS_TOL
+            ):
+                raise ValueError(f"permuting axis {src} onto axis {a}: the axes differ")
         entries = {}
         for idx, m in self.entries.items():
             key = tuple(idx[sigma[a]] for a in range(len(idx)))

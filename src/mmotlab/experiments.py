@@ -120,17 +120,10 @@ def six_cell_symmetric_plan() -> tuple[Coupling, ProductSpace]:
 def symmetrized_plan(plan: Coupling) -> Coupling:
     """Average of ``plan.permuted(sigma)`` over every axis permutation sigma.
 
-    All axes must be identical, as for ``Coupling.permuted``.  For a
-    symmetric cost the result costs the same as ``plan``, so it is optimal
-    whenever ``plan`` is.
+    All axes must be identical; ``Coupling.permuted`` raises ``ValueError``
+    otherwise.  For a symmetric cost the result costs the same as ``plan``,
+    so it is optimal whenever ``plan`` is.
     """
-    first = plan.space.axes[0]
-    if any(
-        not (np.array_equal(ax.points, first.points)
-             and np.array_equal(ax.weights, first.weights))
-        for ax in plan.space.axes[1:]
-    ):
-        raise ValueError("symmetrizing a plan needs identical axes")
     perms = list(itertools.permutations(range(plan.space.n)))
     entries: dict[tuple[int, ...], float] = {}
     for sigma in perms:

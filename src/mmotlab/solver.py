@@ -7,17 +7,24 @@ broken by lowest basic column index.  One constraint row per
 axis point, with the single redundant row (last point of the last axis)
 dropped; +inf cells are removed before the matrix is built.  The method
 returns a vertex plan together with optimal dual potentials.
+
+The constraint matrix is never formed: one integer table holds the row of
+every finite cell on every axis, and columns, pricing sums and the basis
+matrix are gathered from it.  Each phase builds the dense m x m basis
+matrix once and then overwrites the leaving column on every pivot.  The
+basis is LU-factored afresh (LAPACK ``getrf``) on every pivot, with no
+update formulas, so the basic values, duals and directions, and hence the
+pivot sequence, are those of a from-scratch factorization.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .core import (
     CostModel,
@@ -28,6 +35,7 @@ from .core import (
     InvalidCertificateError,
     ProductSpace,
     cost_tensor,
+    eval_cost,
 )
 
 #: absolute dual-feasibility tolerance, scaled by (1 + |c|) for large costs
@@ -82,32 +90,31 @@ class _Lp:
         self._reindex()
 
     def _reindex(self):
-        shape = self.space.shape
         self.m = len(self.kept)
-        self.row_of = {ap: r for r, ap in enumerate(self.kept)}
         self.b = np.array([self.space.axes[a].weights[p] for a, p in self.kept])
-        # per-axis scatter tables: kept point -> row, dropped point -> -1
-        self._axis_rows = [np.full(na, -1, dtype=int) for na in shape]
+        # axis_rows[a][p]: row of point p on axis a, or the sentinel row m
+        # when that row was dropped.  cell_rows[a, j] = axis_rows[a][cells[j, a]]
+        # is the one table every column, pricing pass and basis build reads.
+        self.axis_rows = [np.full(na, self.m, dtype=np.intp) for na in self.space.shape]
         for r, (a, p) in enumerate(self.kept):
-            self._axis_rows[a][p] = r
+            self.axis_rows[a][p] = r
+        self.cell_rows = np.stack(
+            [rows[self.cells[:, a]] for a, rows in enumerate(self.axis_rows)]
+        )
 
     def column(self, j: int) -> np.ndarray:
-        col = np.zeros(self.m)
-        for a, p in enumerate(self.cells[j]):
-            r = self._axis_rows[a][p]
-            if r >= 0:
-                col[r] = 1.0
-        return col
+        col = np.zeros(self.m + 1)
+        col[self.cell_rows[:, j]] = 1.0
+        return col[:-1]
 
     def axis_sums(self, per_row: np.ndarray) -> np.ndarray:
         """For each cell j, the sum of ``per_row`` over the rows of column j."""
-        total = np.zeros(len(self.cells))
-        for a in range(self.space.n):
-            vals = np.zeros(self.space.shape[a] )
-            rows = self._axis_rows[a]
-            mask = rows >= 0
-            vals[mask] = per_row[rows[mask]]
-            total += vals[self.cells[:, a]]
+        padded = np.append(per_row, 0.0)  # the sentinel row contributes 0
+        total = np.zeros(self.cell_rows.shape[1])
+        # axis by axis from 0.0: this order of additions fixes the bits of
+        # every reduced cost, and so the entering choice
+        for rows in self.cell_rows:
+            total += padded[rows]
         return total
 
     def drop_rows(self, redundant: set[int]):
@@ -115,24 +122,54 @@ class _Lp:
         self._reindex()
 
 
-def _basis_matrix(lp: _Lp, basis: list[int], ncells: int) -> np.ndarray:
-    B = np.zeros((lp.m, lp.m))
-    for k, v in enumerate(basis):
-        if v < ncells:
-            B[:, k] = lp.column(v)
-        else:
-            B[v - ncells, k] = 1.0
-    return B
+def _basis_matrix(lp: _Lp, basis: list[int]) -> np.ndarray:
+    """Dense basis matrix in LAPACK's column-major order.
+
+    Basis entries ``>= ncells`` are artificial unit columns.
+    """
+    basis = np.asarray(basis)
+    structural = basis < len(lp.cells)
+    k = np.arange(lp.m)
+    B = np.zeros((lp.m + 1, lp.m))  # the last row absorbs dropped rows
+    B[lp.cell_rows[:, basis[structural]], k[structural]] = 1.0
+    B[basis[~structural] - len(lp.cells), k[~structural]] = 1.0
+    return np.asfortranarray(B[:-1])
+
+
+def _factor(B: np.ndarray):
+    """LU factors of the basis matrix; a singular basis is an internal fault."""
+    lu, piv, info = dgetrf(B)
+    if info != 0:
+        raise InternalConsistencyError(
+            f"singular basis matrix (LAPACK getrf info {info})"
+        )
+    return lu, piv
+
+
+def _solve(lu, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve ``B x = b`` (``trans=1``: ``B^T x = b``) from ``_factor``'s output."""
+    x, info = dgetrs(lu[0], lu[1], b, trans=trans)
+    if info != 0:
+        raise InternalConsistencyError(f"LAPACK getrs info {info}")
+    return x
 
 
 def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray, art_cost: float,
-             iteration_budget: list[int]) -> np.ndarray:
-    """Run Bland-rule pivots to optimality; returns the final basic values."""
+             iteration_budget: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot to optimality; returns the final basic values and row duals.
+
+    ``basis`` is updated in place.  Entering column: most negative reduced
+    cost, with Bland's lowest index after ``_BLAND_STREAK`` degenerate
+    pivots in a row; leaving row: minimum ratio, ties to the lowest basic
+    column index.
+    """
     ncells = len(lp.cells)
     in_basis = np.zeros(ncells, dtype=bool)
     for v in basis:
         if v < ncells:
             in_basis[v] = True
+    B = _basis_matrix(lp, basis)
+    c_b = np.array([costs[v] if v < ncells else art_cost for v in basis])
 
     # Entering rule: steepest (most negative reduced cost) while progress is
     # being made; a streak of degenerate pivots switches to Bland's
@@ -142,22 +179,19 @@ def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray, art_cost: float,
     while True:
         if iteration_budget[0] <= 0:
             raise InternalConsistencyError("simplex iteration budget exhausted")
-        B = _basis_matrix(lp, basis, ncells)
-        lu = scipy.linalg.lu_factor(B)
-        x_b = scipy.linalg.lu_solve(lu, lp.b)
-        c_b = np.array(
-            [costs[v] if v < ncells else art_cost for v in basis]
-        )
-        y = scipy.linalg.lu_solve(lu, c_b, trans=1)
+        lu = _factor(B)
+        x_b = _solve(lu, lp.b)
+        y = _solve(lu, c_b, trans=1)
         rc = costs - lp.axis_sums(y)
         candidates = np.flatnonzero((rc < -_TOL_PIVOT) & ~in_basis)
         if candidates.size == 0:
-            return x_b
+            return x_b, y
         if degenerate_streak < _BLAND_STREAK:
             e = int(candidates[np.argmin(rc[candidates])])
         else:
             e = int(candidates[0])  # Bland: lowest index
-        d = scipy.linalg.lu_solve(lu, lp.column(e))
+        col = lp.column(e)
+        d = _solve(lu, col)
         pos = np.flatnonzero(d > _TOL_PIVOT)
         if pos.size == 0:
             raise InternalConsistencyError(
@@ -171,6 +205,8 @@ def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray, art_cost: float,
             in_basis[basis[leave]] = False
         basis[leave] = e
         in_basis[e] = True
+        B[:, leave] = col
+        c_b[leave] = costs[e]
         degenerate_streak = 0 if t > _TOL_PIVOT else degenerate_streak + 1
         iteration_budget[0] -= 1
 
@@ -190,7 +226,7 @@ def solve_exact(model: CostModel, space: ProductSpace, tol_dual: float = TOL_DUA
     # Phase 1: artificial start.
     basis = [ncells + r for r in range(lp.m)]
     zeros = np.zeros(ncells)
-    x_b = _simplex(lp, basis, zeros, 1.0, budget)
+    x_b, _ = _simplex(lp, basis, zeros, 1.0, budget)
     infeas = math.fsum(
         x for v, x in zip(basis, x_b) if v >= ncells and x > 0
     )
@@ -205,14 +241,14 @@ def solve_exact(model: CostModel, space: ProductSpace, tol_dual: float = TOL_DUA
     # rows they certify as redundant.
     redundant: set[int] = set()
     basic_structural = {v for v in basis if v < ncells}
-    B = _basis_matrix(lp, basis, ncells)
-    lu = scipy.linalg.lu_factor(B)
+    B = _basis_matrix(lp, basis)
+    lu = _factor(B)
     for r in range(lp.m):
         if basis[r] < ncells:
             continue
         e_r = np.zeros(lp.m)
         e_r[r] = 1.0
-        w = scipy.linalg.lu_solve(lu, e_r, trans=1)
+        w = _solve(lu, e_r, trans=1)
         coef = lp.axis_sums(w)
         coef[list(basic_structural)] = 0.0
         options = np.flatnonzero(np.abs(coef) > 1e-8)
@@ -222,22 +258,16 @@ def solve_exact(model: CostModel, space: ProductSpace, tol_dual: float = TOL_DUA
         j = int(options[0])
         basis[r] = j
         basic_structural.add(j)
-        B = _basis_matrix(lp, basis, ncells)
-        lu = scipy.linalg.lu_factor(B)
+        B[:, r] = lp.column(j)
+        lu = _factor(B)
     if redundant:
         basis = [v for r, v in enumerate(basis) if r not in redundant]
         lp.drop_rows(redundant)
     if any(v >= ncells for v in basis):
         raise InternalConsistencyError("artificial variable left in the basis")
 
-    # Phase 2: optimize the true cost.
-    x_b = _simplex(lp, basis, lp.costs, 0.0, budget)
-
-    # Extract plan and duals from the final basis.
-    B = _basis_matrix(lp, basis, ncells)
-    lu = scipy.linalg.lu_factor(B)
-    x_b = scipy.linalg.lu_solve(lu, lp.b)
-    y = scipy.linalg.lu_solve(lu, lp.costs[basis], trans=1)
+    # Phase 2: optimize the true cost; plan and duals come from its last basis.
+    x_b, y = _simplex(lp, basis, lp.costs, 0.0, budget)
 
     entries = {}
     for v, x in zip(basis, x_b):
@@ -245,14 +275,8 @@ def solve_exact(model: CostModel, space: ProductSpace, tol_dual: float = TOL_DUA
             entries[tuple(int(i) for i in lp.cells[v])] = float(x)
     plan = Coupling(entries, space)
 
-    potentials = []
-    for a, na in enumerate(space.shape):
-        u = np.zeros(na)
-        rows = lp._axis_rows[a]
-        mask = rows >= 0
-        u[mask] = y[rows[mask]]
-        potentials.append(u)
-    duals = DualPotentials(potentials)
+    padded = np.append(y, 0.0)  # a dropped row's potential is 0
+    duals = DualPotentials([padded[rows] for rows in lp.axis_rows])
 
     primal = math.fsum(
         float(x) * lp.costs[v] for v, x in zip(basis, x_b) if x > 1e-14
@@ -284,17 +308,11 @@ def _check_result(model, space, plan, duals, primal, dual, tol_dual):
         )
     for idx in plan.entries:
         c = duals.total_at(idx)
-        cost = _cost_at(model, space, idx)
+        cost = eval_cost(model, space.point(idx))
         if abs(cost - c) > tol_dual * (1.0 + abs(cost)):
             raise InternalConsistencyError(
                 f"support cell {idx} is not tight: c={cost!r}, sum u={c!r}"
             )
-
-
-def _cost_at(model, space, idx):
-    from .core import eval_cost
-
-    return eval_cost(model, space.point(idx))
 
 
 class ConjugateUpdate(NamedTuple):

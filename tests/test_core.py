@@ -18,8 +18,10 @@ from mmotlab import (
     eval_cost,
     iterate_cells,
     make_cost,
+    solve_exact,
 )
 from mmotlab.core import cost_tensor
+from mmotlab.experiments import coulomb_perturbed_space
 
 
 class TestDiscreteMarginal:
@@ -105,6 +107,28 @@ class TestCoupling:
         plan = Coupling({(0, 1): 1.0}, self.space)
         swapped = plan.permuted((1, 0))
         assert swapped.mass((1, 0)) == 1.0
+
+    @pytest.mark.parametrize("sigma", [(0, 0), (1,), (0, 1, 2), (1, 2)])
+    def test_permuted_needs_a_permutation(self, sigma):
+        plan = Coupling({(0, 1): 1.0}, self.space)
+        with pytest.raises(ValueError, match="not a permutation"):
+            plan.permuted(sigma)
+
+    def test_permuted_rejects_differing_axes(self):
+        # Swapping two axes with different weights would leave the space's
+        # marginals: the axis-0 marginal of the result is off by 0.043 here.
+        space = coulomb_perturbed_space(6, seed=0)
+        plan = solve_exact(Coulomb1D(), space).plan
+        with pytest.raises(ValueError, match="axes differ"):
+            plan.permuted((1, 0, 2))
+        assert plan.permuted((0, 1, 2)) == plan
+
+    def test_permuted_accepts_weights_within_mass_tol(self):
+        m = DiscreteMarginal([0.0, 1.0], [0.5, 0.5])
+        near = DiscreteMarginal([0.0, 1.0], [0.5 + 4e-13, 0.5 - 4e-13])
+        space = ProductSpace([m, near])
+        plan = Coupling({(0, 1): 0.5, (1, 0): 0.5}, space)
+        assert plan.permuted((1, 0)).mass((1, 0)) == 0.5
 
     def test_tv_distance(self):
         a = Coupling({(0, 1): 1.0}, self.space)

@@ -12,12 +12,15 @@ from mmotlab import (
     InvalidCertificateError,
     ProductSpace,
     Tabulated,
+    TwoWell,
     UserHook,
     c_conjugate_update,
     duality_gap,
     solve_exact,
 )
-from mmotlab.core import eval_cost
+from mmotlab.core import InternalConsistencyError, eval_cost
+from mmotlab.experiments import coulomb_perturbed_space, twowell_space
+from mmotlab.solver import _basis_matrix, _factor, _Lp
 
 from conftest import brute_force_value_n2, random_rational_marginal
 
@@ -208,3 +211,89 @@ class TestThreeMarginalSmall:
         space = ProductSpace([m1, m2])
         result = solve_exact(Coulomb1D(), space)
         assert all(idx[0] != 1 for idx in result.plan.entries)
+
+
+class TestPivotPath:
+    """Iteration counts and exact plans of two fixed solves.
+
+    A solver change that keeps every pivot leaves them bit for bit equal; a
+    change to the entering or leaving rule, a tolerance or the arithmetic
+    feeding them would almost surely move the counts or the last bits.
+    """
+
+    def test_coulomb_perturbed_12(self):
+        result = solve_exact(Coulomb1D(), coulomb_perturbed_space(12, seed=1))
+        assert result.iterations == 216
+        assert dict(result.plan.entries) == {
+            (0, 5, 9): 0.026881982525920972, (0, 8, 5): 0.018227017847871944,
+            (0, 9, 5): 0.011890459156712226, (1, 5, 9): 0.033156028380634875,
+            (1, 6, 9): 0.012565530394686095, (1, 6, 10): 0.02143225617610026,
+            (2, 10, 6): 0.049081279941308384, (2, 10, 7): 0.012539765061457334,
+            (3, 7, 10): 0.050491041815361425, (3, 11, 7): 0.026968337456886406,
+            (4, 8, 11): 0.05581257817901256, (4, 11, 8): 0.017154049567610206,
+            (5, 0, 8): 0.006225072951128015, (5, 1, 9): 0.030802265321498795,
+            (5, 9, 0): 0.04229608360972856, (6, 2, 10): 0.033046260864349225,
+            (6, 9, 1): 0.042153419754436774, (6, 10, 1): 0.015688281222393102,
+            (7, 3, 11): 0.06045942555475265, (7, 10, 2): 0.02415294815837772,
+            (7, 10, 3): 0.0037888213452067013, (8, 5, 0): 0.01886431424622565,
+            (8, 11, 4): 0.06958750699464866, (8, 11, 5): 0.007263247583437181,
+            (9, 0, 5): 0.04939433966274143, (9, 1, 6): 0.035174671911758534,
+            (9, 6, 1): 0.00554188484227525, (10, 2, 7): 0.031486520502430754,
+            (10, 6, 2): 0.04170813895133915, (10, 7, 3): 0.03634373905007968,
+            (11, 3, 7): 0.01084646138917685, (11, 4, 8): 0.07115444980061811,
+            (11, 5, 8): 0.001089013997213846, (11, 8, 3): 0.02673280578262059,
+        }
+
+    def test_twowell_20(self):
+        result = solve_exact(TwoWell(), twowell_space(20))
+        assert result.iterations == 930
+        expected = {}
+        for i in range(21):
+            expected[(i, i, i)] = expected[(i, i, i + 10)] = 0.023809523809523808
+        assert dict(result.plan.entries) == expected
+
+
+class TestLpTables:
+    """The gathered columns, pricing sums and basis against a dense matrix."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(5)
+        space = ProductSpace([random_rational_marginal(rng, k) for k in (4, 3, 5)])
+        costs = rng.uniform(0.0, 1.0, size=space.shape)
+        costs[rng.uniform(size=space.shape) < 0.3] = math.inf
+        self.lp = _Lp(Tabulated(costs, space), space)
+        # the last point of the last axis is dropped at build; drop two more
+        self.lp.drop_rows({1, 6})
+        lp = self.lp
+        self.A = np.zeros((lp.m, len(lp.cells)))
+        for r, (a, p) in enumerate(lp.kept):
+            self.A[r] = lp.cells[:, a] == p
+        self.rng = rng
+
+    def test_table_covers_finite_cells_and_kept_rows(self):
+        assert len(self.lp.cells) < 4 * 3 * 5
+        assert self.lp.m == 4 + 3 + 5 - 3
+
+    def test_axis_sums_match_dense_product(self):
+        for _ in range(5):
+            y = self.rng.uniform(-1.0, 1.0, size=self.lp.m)
+            np.testing.assert_allclose(self.lp.axis_sums(y), self.A.T @ y, rtol=0, atol=1e-14)
+
+    def test_columns_match_dense_matrix(self):
+        for j in range(len(self.lp.cells)):
+            assert np.array_equal(self.lp.column(j), self.A[:, j])
+
+    def test_basis_matrix_matches_column_reference(self):
+        lp, ncells = self.lp, len(self.lp.cells)
+        basis = list(self.rng.permutation(ncells)[: lp.m])
+        basis[::2] = [ncells + r for r in range(0, lp.m, 2)]  # artificial columns
+        reference = np.column_stack([
+            lp.column(v) if v < ncells else np.eye(lp.m)[v - ncells] for v in basis
+        ])
+        assert np.array_equal(_basis_matrix(lp, basis), reference)
+
+    def test_singular_basis_raises(self):
+        lp = self.lp
+        basis = [0, 0] + [len(lp.cells) + r for r in range(2, lp.m)]
+        with pytest.raises(InternalConsistencyError, match="singular"):
+            _factor(_basis_matrix(lp, basis))
