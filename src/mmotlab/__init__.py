@@ -23,7 +23,6 @@ from .core import (
     UndefinedRegionError,
     UserHook,
     eval_cost,
-    iterate_cells,
     make_cost,
 )
 from .diff import (

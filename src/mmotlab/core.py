@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -276,6 +276,15 @@ class DualPotentials:
 
     def total_at(self, idx: Sequence[int]) -> float:
         return math.fsum(v[i] for v, i in zip(self.values, idx))
+
+    def grid_sum(self, shape: Sequence[int]) -> np.ndarray:
+        """sum_i u_i(x_i) on a grid of ``shape``, added axis by axis from 0.0."""
+        total = np.zeros(shape)
+        for j, u in enumerate(self.values):
+            axis_shape = [1] * len(shape)
+            axis_shape[j] = -1
+            total = total + u.reshape(axis_shape)
+        return total
 
     def __iter__(self):
         return iter(self.values)
@@ -603,28 +612,6 @@ def eval_cost(model: CostModel, point: Sequence) -> float:
     if math.isnan(v) or v == -math.inf:
         raise InternalConsistencyError(f"{model.kind} produced an invalid value {v}")
     return v
-
-
-def iterate_cells(
-    space: ProductSpace,
-    finite_only: bool = False,
-    model: CostModel | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Enumerate grid index tuples in lexicographic order.
-
-    With ``finite_only`` (which requires ``model``), cells whose cost is
-    +inf are skipped.
-    """
-    if finite_only and model is None:
-        raise ValueError("finite_only requires a cost model")
-    grid = itertools.product(*(range(s) for s in space.shape))
-    if not finite_only:
-        yield from grid
-        return
-    values = model.grid_values(space)
-    for idx in grid:
-        if values[idx] < math.inf:
-            yield idx
 
 
 def cost_tensor(model: CostModel, space: ProductSpace) -> np.ndarray:

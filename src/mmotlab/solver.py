@@ -339,6 +339,9 @@ def c_conjugate_update(
     """
     if not 0 <= i < space.n:
         raise ValueError(f"axis index {i} out of range")
+    # The potentials are subtracted from c one at a time, not as one
+    # DualPotentials.grid_sum: (c - u_a) - u_b rounds differently from
+    # c - (u_a + u_b), and the conjugate keeps the former.
     values = cost_tensor(model, space).copy()
     for j, u in enumerate(potentials.values):
         if j == i:
@@ -366,11 +369,7 @@ def duality_gap(
     """
     space = plan.space
     values = cost_tensor(model, space)
-    total = np.zeros(space.shape)
-    for j, u in enumerate(duals.values):
-        shape = [1] * space.n
-        shape[j] = -1
-        total = total + u.reshape(shape)
+    total = duals.grid_sum(space.shape)
     finite = np.isfinite(values)
     defect = total[finite] - values[finite]
     if defect.size and np.max(defect) > tol_dual * (1.0 + np.max(np.abs(values[finite]))):

@@ -30,6 +30,8 @@ from .core import (
 SUPPORT_TOL = 1e-10
 MONO_TOL = 1e-9
 GRAD_TOL = 1e-6
+#: elements of one block of gradient-pair differences in twist_multiplicity
+_LINK_BLOCK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -57,23 +59,16 @@ def splitting_support(
     beyond tolerance (the potentials would not be admissible).
     """
     values = cost_tensor(model, space)
-    total = np.zeros(space.shape)
-    for j, u in enumerate(duals.values):
-        shape = [1] * space.n
-        shape[j] = -1
-        total = total + u.reshape(shape)
     finite = np.isfinite(values)
-    defect = np.where(finite, values - total, np.inf)
+    defect = np.where(finite, values - duals.grid_sum(space.shape), np.inf)
     worst = float(np.min(defect[finite])) if finite.any() else 0.0
     if worst < -tol_split:
         raise InvalidCertificateError(
             f"potentials overshoot the cost by {-worst:.3e}"
         )
-    tight = np.argwhere(finite & (defect <= tol_split))
-    cells = frozenset(tuple(int(i) for i in idx) for idx in tight)
-    max_violation = (
-        max((float(defect[idx]) for idx in cells), default=0.0) if cells else 0.0
-    )
+    tight = finite & (defect <= tol_split)
+    cells = frozenset(map(tuple, np.argwhere(tight).tolist()))
+    max_violation = float(np.max(defect[tight])) if cells else 0.0
     return SplittingSetReport(cells, max_violation, tol_split)
 
 
@@ -101,34 +96,80 @@ def check_c_monotone(
     {P+, P-} of the axes, a violation is recorded when
     c(x) + c(xbar) - c(x+, xbar-) - c(xbar+, x-) exceeds ``tol_mono``.
     A +inf value on the swapped side never counts as a violation.
+    Violations come pair by pair (cells sorted), bipartitions in order
+    within a pair.
+
+    Each distinct cell, given or swapped, is evaluated once with
+    ``eval_cost``.  Pairs are taken one first cell at a time against all
+    later cells, so beyond the memo of costs the work space is
+    O(S * 2^(n-1)) for S cells; nothing the size of the grid is built.
     """
     n = space.n
     if n > 6:
         raise ValueError("bipartition enumeration is limited to n <= 6 axes")
     cells = sorted(tuple(c) for c in cells)
+    if len(cells) < 2:
+        return []
     # P+ always contains axis 0, so each unordered bipartition appears once.
     partitions = [
         (0,) + rest
         for r in range(0, n - 1)
         for rest in itertools.combinations(range(1, n), r)
-        if 0 < 1 + len(rest) < n
     ]
+    # A cell's key is its mixed-radix number over the index ranges the
+    # given cells span; a swapped cell takes each index from a given cell,
+    # so its key is the sum of the keys' per-axis parts, chosen by P+.
+    idx = np.array(cells, dtype=np.int64)
+    low = idx.min(axis=0)
+    radix = (idx.max(axis=0) - low + 1).tolist()
+    dtype = np.int64 if math.prod(radix) < 2**63 else object
+    strides = [math.prod(radix[:k]) for k in range(n)]
+    parts = (idx - low).astype(dtype) * np.array(strides, dtype=dtype)
+    plus = np.array([[k in p for k in range(n)] for p in partitions]).astype(dtype)
+    minus = 1 - plus
+    memo: dict = {}
+
+    def costs(keys, cell_at):
+        """Costs of a key array; ``cell_at(j)`` is the cell of flat key j."""
+        uniq, first, inverse = np.unique(
+            keys.ravel(), return_index=True, return_inverse=True
+        )
+        out = np.empty(len(uniq))
+        for u, (key, j) in enumerate(zip(uniq.tolist(), first.tolist())):
+            if key not in memo:
+                memo[key] = eval_cost(model, space.point(cell_at(j)))
+            out[u] = memo[key]
+        return out[inverse].reshape(keys.shape)
+
+    given = costs(parts.sum(axis=1), lambda j: cells[j])
+    if not np.all(np.isfinite(given)):
+        raise ValueError("monotonicity check requires finite-cost cells")
+    n_parts = len(partitions)
     violations = []
-    for a, b in itertools.combinations(cells, 2):
-        ca = eval_cost(model, space.point(a))
-        cb = eval_cost(model, space.point(b))
-        if not (math.isfinite(ca) and math.isfinite(cb)):
-            raise ValueError("monotonicity check requires finite-cost cells")
-        for plus in partitions:
-            swap_ab = tuple(a[i] if i in plus else b[i] for i in range(n))
-            swap_ba = tuple(b[i] if i in plus else a[i] for i in range(n))
-            c1 = eval_cost(model, space.point(swap_ab))
-            c2 = eval_cost(model, space.point(swap_ba))
-            if not (math.isfinite(c1) and math.isfinite(c2)):
-                continue
-            defect = ca + cb - c1 - c2
-            if defect > tol_mono:
-                violations.append(MonotonicityViolation(a, b, plus, defect))
+    for i, a in enumerate(cells[:-1]):
+        rest = parts[i + 1:]
+        count = len(rest)
+
+        def swapped(j):
+            row, p = divmod(j, n_parts)
+            b = cells[i + 1 + row % count]
+            first, second = (a, b) if row < count else (b, a)
+            return tuple(x if k in partitions[p] else y
+                         for k, (x, y) in enumerate(zip(first, second)))
+
+        # rows 0..count-1: (a on P+, b on P-); rows count..: (b on P+, a on P-)
+        keys = np.concatenate([
+            plus @ parts[i] + rest @ minus.T,
+            rest @ plus.T + minus @ parts[i],
+        ])
+        swap = costs(keys, swapped)
+        c1, c2 = swap[:count], swap[count:]
+        # a +inf swapped cost makes the defect -inf, which never counts
+        defect = (given[i] + given[i + 1:])[:, None] - c1 - c2
+        for b, p in zip(*(ix.tolist() for ix in np.nonzero(defect > tol_mono))):
+            violations.append(MonotonicityViolation(
+                a, cells[i + 1 + b], partitions[p], float(defect[b, p])
+            ))
     return violations
 
 
@@ -242,9 +283,13 @@ def twist_multiplicity(
 ) -> TwistReport:
     """Group cells by first-axis point and cluster their gradients.
 
-    Clustering is single-linkage: two cells join when their gradients are
-    within ``tol_grad * (1 + max gradient norm)``.  Cells where the
-    gradient is undefined are excluded and reported in ``flagged_cells``.
+    Clustering is single-linkage: two cells sharing a first-axis point are
+    linked when the sup-norm distance of their gradients is within
+    ``tol_grad * (1 + the larger sup-norm of the two)``, and a cluster is
+    a connected component of the links.  Clusters come by first-axis
+    point, then by smallest member; the representative gradient is the
+    smallest member's.  Cells where the gradient is undefined are excluded
+    and reported in ``flagged_cells``.
     """
     if isinstance(cells, SplittingSetReport):
         cells = cells.cells
@@ -260,23 +305,7 @@ def twist_multiplicity(
     clusters = []
     for i1 in sorted(by_x1):
         members = by_x1[i1]
-        parent = list(range(len(members)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for a, b in itertools.combinations(range(len(members)), 2):
-            ga, gb = members[a][1], members[b][1]
-            radius = tol_grad * (1.0 + max(np.max(np.abs(ga)), np.max(np.abs(gb))))
-            if np.max(np.abs(ga - gb)) <= radius:
-                parent[find(a)] = find(b)
-        groups: dict[int, list] = {}
-        for a in range(len(members)):
-            groups.setdefault(find(a), []).append(a)
-        for group in groups.values():
+        for group in _linked_groups([g for _, g in members], tol_grad):
             clusters.append(
                 GradientCluster(
                     axis1_index=i1,
@@ -296,6 +325,40 @@ def twist_multiplicity(
         witness=witness,
         flagged_cells=tuple(flagged),
     )
+
+
+def _linked_groups(grads, tol_grad: float) -> list[list[int]]:
+    """Single-linkage components of gradients, as ascending index lists.
+
+    Gradients a and b link when max|g_a - g_b| <= tol_grad * (1 +
+    max(|g_a|_inf, |g_b|_inf)).  The pair distances are compared a block
+    of rows at a time, each block at most ``_LINK_BLOCK`` elements or one
+    row.
+    """
+    g = np.stack(grads)
+    m = len(g)
+    norms = np.max(np.abs(g), axis=1)
+    parent = list(range(m))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    rows = max(1, _LINK_BLOCK // g.size)
+    for lo in range(0, m, rows):
+        block = g[lo:lo + rows]
+        dist = np.max(np.abs(block[:, None, :] - g[None, :, :]), axis=2)
+        radius = tol_grad * (1.0 + np.maximum(norms[lo:lo + rows, None], norms))
+        # keep b > a only: row r is gradient lo + r
+        linked = np.triu(dist <= radius, k=lo + 1)
+        for r, b in zip(*(ix.tolist() for ix in np.nonzero(linked))):
+            parent[find(lo + r)] = find(b)
+    groups: dict[int, list] = {}
+    for a in range(m):
+        groups.setdefault(find(a), []).append(a)
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------

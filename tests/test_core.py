@@ -16,7 +16,6 @@ from mmotlab import (
     TwoWell,
     UserHook,
     eval_cost,
-    iterate_cells,
     make_cost,
     solve_exact,
 )
@@ -153,6 +152,14 @@ class TestDualPotentials:
         with pytest.raises(ValueError):
             DualPotentials([np.array([math.inf, 0.0])])
 
+    def test_grid_sum_adds_axis_by_axis(self, rng):
+        u = [rng.normal(size=s) for s in (3, 4, 2)]
+        u[1][2] = -math.inf
+        total = DualPotentials(u).grid_sum((3, 4, 2))
+        expected = ((0.0 + u[0][:, None, None]) + u[1][None, :, None]) + u[2][None, None, :]
+        assert total.shape == (3, 4, 2)
+        assert total.tobytes() == expected.tobytes()
+
 
 class TestCoulomb1D:
     def test_value_on_triple(self):
@@ -178,7 +185,7 @@ class TestCoulomb1D:
         space = ProductSpace([m1, m2])
         c = Coulomb1D()
         grid = cost_tensor(c, space)
-        for idx in iterate_cells(space):
+        for idx in itertools.product(*map(range, space.shape)):
             assert grid[idx] == pytest.approx(eval_cost(c, space.point(idx)), rel=1e-12)
 
     def test_any_arity(self):
@@ -238,7 +245,7 @@ class TestTwoWell:
         m3 = DiscreteMarginal(np.sort(rng.uniform(0, 1.5, 4)), [0.25] * 4)
         space = ProductSpace([m, m, m3])
         grid = cost_tensor(TwoWell(), space)
-        for idx in iterate_cells(space):
+        for idx in itertools.product(*map(range, space.shape)):
             assert grid[idx] == pytest.approx(eval_cost(TwoWell(), space.point(idx)))
 
 
@@ -282,20 +289,3 @@ class TestFactoryAndIteration:
         assert isinstance(make_cost("xyz"), ProductXYZ)
         with pytest.raises(ValueError, match="unknown cost"):
             make_cost("nope")
-
-    def test_iterate_cells_lexicographic(self):
-        m = DiscreteMarginal([0.0, 1.0], [0.5, 0.5])
-        space = ProductSpace([m, m])
-        assert list(iterate_cells(space)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_iterate_cells_finite_only(self):
-        m = DiscreteMarginal([0.0, 1.0], [0.5, 0.5])
-        space = ProductSpace([m, m])
-        cells = list(iterate_cells(space, finite_only=True, model=Coulomb1D()))
-        assert cells == [(0, 1), (1, 0)]
-
-    def test_finite_only_needs_model(self):
-        m = DiscreteMarginal([0.0, 1.0], [0.5, 0.5])
-        space = ProductSpace([m, m])
-        with pytest.raises(ValueError):
-            list(iterate_cells(space, finite_only=True))
