@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, diff, experiments, extremal, io, structure
 from .core import (
-    Coulomb1D,
+    BUILTIN_COSTS,
     ProductSpace,
     TransportError,
     make_cost,
@@ -36,29 +36,34 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(parser, marginals=False, cost=False, coupling=False, sampled=False):
+#: the tolerance flags ``--tol-NAME`` and their defaults
+_TOLERANCES = {"support": 1e-10, "dual": 1e-9, "grad": 1e-6}
+
+
+def _add_common(parser, marginals=False, cost=False, coupling=False, sampled=False,
+                tols=(), fmt=False):
+    """Register the shared flags; ``tols`` names the ``--tol-*`` flags the
+    handler reads, and ``fmt`` adds ``--format`` for reports with a coupling."""
     parser.add_argument("--out", help="path for the JSON report (default: stdout)")
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", dest="fmt",
-        help="report format; csv writes support cells where applicable",
-    )
+    if fmt:
+        parser.add_argument(
+            "--format", choices=("json", "csv"), default="json", dest="fmt",
+            help="report format; csv writes the support cells of the coupling",
+        )
     if marginals:
         parser.add_argument(
             "--marginal", action="append", required=True, metavar="FILE",
             help="marginal JSON file; repeat once per axis",
         )
     if cost:
-        parser.add_argument(
-            "--cost", required=True, choices=("coulomb1d", "expcos", "xyz", "twowell"),
-        )
+        parser.add_argument("--cost", required=True, choices=tuple(BUILTIN_COSTS))
     if coupling:
         parser.add_argument("--coupling", required=True, metavar="FILE")
     if sampled:
         parser.add_argument("--samples", type=int, default=20)
         parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol-support", type=float, default=1e-10)
-    parser.add_argument("--tol-dual", type=float, default=1e-9)
-    parser.add_argument("--tol-grad", type=float, default=1e-6)
+    for name in tols:
+        parser.add_argument(f"--tol-{name}", type=float, default=_TOLERANCES[name])
 
 
 def _load_space(paths) -> ProductSpace:
@@ -86,7 +91,7 @@ def _emit(args, command, spec, assertions, payload, seed=None, started=None):
         "assertions": assertions,
         "payload": payload,
     }
-    if args.fmt == "csv" and "coupling" in payload:
+    if getattr(args, "fmt", "json") == "csv":
         rows = [
             entry["idx"] + [entry["mass"]]
             for entry in payload["coupling"]["entries"]
@@ -338,9 +343,10 @@ def _cmd_repro(args, started):
         overrides["grid_size"] = args.grid_size
     if args.seed is not None:
         overrides["seed"] = args.seed
-    spec, _ = experiments._REGISTRY.get(args.name, (None, None))
+    specs = {spec.name: spec for spec in experiments.experiment_registry()}
+    spec = specs.get(args.name)
     if spec is None:
-        names = ", ".join(sorted(experiments._REGISTRY))
+        names = ", ".join(sorted(specs))
         print(f"unknown experiment {args.name!r}; registered: {names}", file=sys.stderr)
         return 1
     overrides = {k: v for k, v in overrides.items() if k in spec.params}
@@ -366,23 +372,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve the transport LP exactly")
-    _add_common(p, marginals=True, cost=True)
+    _add_common(p, marginals=True, cost=True, tols=("dual",), fmt=True)
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("decompose", help="decompose a coupling into graphs")
-    _add_common(p, marginals=True, coupling=True)
+    _add_common(p, marginals=True, coupling=True, tols=("support",))
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("check-monotone", help="pairwise exchange inequality")
-    _add_common(p, marginals=True, cost=True, coupling=True)
+    _add_common(p, marginals=True, cost=True, coupling=True, tols=("support",))
     p.set_defaults(handler=_cmd_check_monotone)
 
     p = sub.add_parser("check-splitting", help="tight cells of the LP duals")
-    _add_common(p, marginals=True, cost=True)
+    _add_common(p, marginals=True, cost=True, tols=("dual", "support"))
     p.set_defaults(handler=_cmd_check_splitting)
 
     p = sub.add_parser("twist-count", help="gradient-cluster multiplicity")
-    _add_common(p, marginals=True, cost=True)
+    _add_common(p, marginals=True, cost=True, tols=("dual", "grad"))
     p.set_defaults(handler=_cmd_twist_count)
 
     p = sub.add_parser("signature", help="off-diagonal Hessian signatures")
@@ -404,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_thm41)
 
     p = sub.add_parser("witness", help="symmetric non-uniqueness witness")
-    _add_common(p, marginals=True, coupling=True)
-    p.add_argument("--cost", choices=("coulomb1d", "expcos", "xyz", "twowell"))
+    _add_common(p, marginals=True, coupling=True, fmt=True)
+    p.add_argument("--cost", choices=tuple(BUILTIN_COSTS))
     p.add_argument("--s1", required=True, help="comma-separated axis-point indices")
     p.add_argument("--s2", required=True)
     p.add_argument("--s3", required=True)

@@ -237,10 +237,8 @@ class Coupling:
         return Coupling(entries, self.space)
 
     def transport_cost(self, model: "CostModel") -> float:
-        return math.fsum(
-            m * eval_cost(model, self.space.point(idx))
-            for idx, m in self.entries.items()
-        )
+        costs = cost_at(model, self.space, list(self.entries)).tolist()
+        return math.fsum(m * c for m, c in zip(self.entries.values(), costs))
 
     def tv_distance(self, other: "Coupling") -> float:
         keys = set(self.entries) | set(other.entries)
@@ -300,7 +298,10 @@ class DualPotentials:
 class CostModel:
     """Evaluator for a cost c on n-tuples of points in R^d.
 
-    ``value`` returns a float or ``math.inf``.  Subclasses with closed-form
+    A cost is defined once, by ``values`` on broadcast coordinate arrays;
+    the scalar ``value`` is ``values`` on a single cell.  A cost that only
+    has a scalar definition (``UserHook``) overrides ``value`` instead, and
+    the base ``values`` calls it once per cell.  Subclasses with closed-form
     derivatives override ``grad`` and ``mixed_hessian`` and set
     ``has_analytic_derivatives``.
     """
@@ -312,8 +313,22 @@ class CostModel:
     dim: int = 1
     has_analytic_derivatives = False
 
+    def values(self, xs: tuple[np.ndarray, ...]) -> np.ndarray:
+        """Costs of many cells at once (may contain +inf).
+
+        ``xs[a]`` holds the axis-``a`` coordinates with shape ``S + (d,)``,
+        where the ``S`` broadcast against each other; the result has the
+        broadcast shape ``S``.
+        """
+        if type(self).value is CostModel.value:
+            raise NotImplementedError(f"{self.kind} defines neither values nor value")
+        shape = np.broadcast_shapes(*(x.shape[:-1] for x in xs))
+        rows = [np.broadcast_to(x, shape + x.shape[-1:]).reshape(-1, x.shape[-1]) for x in xs]
+        return np.fromiter(map(self.value, zip(*rows)), float, len(rows[0])).reshape(shape)
+
     def value(self, xs: tuple[np.ndarray, ...]) -> float:
-        raise NotImplementedError
+        """The cost at one point, given as a tuple of d-vectors."""
+        return float(self.values(xs))
 
     def grad(self, i: int, xs: tuple[np.ndarray, ...]) -> np.ndarray:
         raise NotImplementedError(f"{self.kind} has no analytic gradient")
@@ -333,20 +348,26 @@ class CostModel:
                 raise ValueError(f"{self.kind} needs points in R^{self.dim}, got shape {x.shape}")
         return xs
 
-    def grid_values(self, space: ProductSpace) -> np.ndarray:
-        """Dense cost tensor over the product grid (may contain +inf)."""
-        shape = space.shape
-        out = np.empty(shape)
-        for idx in itertools.product(*(range(s) for s in shape)):
-            out[idx] = eval_cost(self, space.point(idx))
-        return out
+
+def _sorted_coords(xs) -> list[np.ndarray]:
+    """First coordinates of ``xs`` sorted ascending, elementwise over the broadcast.
+
+    An insertion-sort network of ``np.minimum``/``np.maximum`` exchanges;
+    it gives the bits ``np.sort`` would, without stacking the arrays.
+    """
+    s = [x[..., 0] for x in xs]
+    for i in range(1, len(s)):
+        for j in range(i, 0, -1):
+            s[j - 1], s[j] = np.minimum(s[j - 1], s[j]), np.maximum(s[j - 1], s[j])
+    return s
 
 
 class Coulomb1D(CostModel):
     """Pairwise-repulsion cost sum_{i<j} 1/|x_i - x_j| on the line.
 
-    Evaluates to +inf whenever two coordinates coincide; symmetric under
-    all permutations of the arguments.
+    Evaluates to +inf whenever two coordinates coincide.  The coordinates
+    are sorted before the pair terms are added, so the value is bitwise
+    invariant under all permutations of the arguments.
     """
 
     kind = "coulomb1d"
@@ -354,17 +375,13 @@ class Coulomb1D(CostModel):
     dim = 1
     has_analytic_derivatives = True
 
-    def value(self, xs):
-        # sorting the coordinates and using fsum makes the value exactly
-        # invariant under permutations of the arguments
-        coords = sorted(float(x[0]) for x in xs)
-        terms = []
-        for a, b in itertools.combinations(coords, 2):
-            gap = abs(a - b)
-            if gap == 0.0:
-                return math.inf
-            terms.append(1.0 / gap)
-        return math.fsum(terms)
+    def values(self, xs):
+        s = _sorted_coords(xs)
+        total = 0.0
+        with np.errstate(divide="ignore"):
+            for a, b in itertools.combinations(range(len(s)), 2):
+                total = total + 1.0 / np.abs(s[b] - s[a])
+        return total
 
     def grad(self, i, xs):
         xi = float(xs[i][0])
@@ -388,21 +405,6 @@ class Coulomb1D(CostModel):
             )
         return np.array([[-2.0 / abs(w) ** 3]])
 
-    def grid_values(self, space):
-        pts = [ax.points[:, 0] for ax in space.axes]
-        n = space.n
-        total = np.zeros(space.shape)
-        for a, b in itertools.combinations(range(n), 2):
-            pa = pts[a].reshape([space.shape[a] if k == a else 1 for k in range(n)])
-            pb = pts[b].reshape([space.shape[b] if k == b else 1 for k in range(n)])
-            with np.errstate(divide="ignore"):
-                total = total + 1.0 / np.abs(pa - pb)
-        return total
-
-
-def _pair_exp_cos(a: np.ndarray, b: np.ndarray) -> float:
-    return -math.exp(a[0] + b[0]) * math.cos(a[1] - b[1])
-
 
 class ExpCos(CostModel):
     """Three-marginal cost on R^2 built from -e^{a1+b1} cos(a2-b2) pair terms."""
@@ -412,9 +414,12 @@ class ExpCos(CostModel):
     dim = 2
     has_analytic_derivatives = True
 
-    def value(self, xs):
+    def values(self, xs):
+        def pair(a, b):
+            return -np.exp(a[..., 0] + b[..., 0]) * np.cos(a[..., 1] - b[..., 1])
+
         x, y, z = xs
-        return _pair_exp_cos(x, y) + _pair_exp_cos(x, z) + _pair_exp_cos(y, z)
+        return pair(x, y) + pair(x, z) + pair(y, z)
 
     def grad(self, i, xs):
         out = np.zeros(2)
@@ -439,18 +444,20 @@ class ExpCos(CostModel):
 
 
 class ProductXYZ(CostModel):
-    """The cost c(x, y, z) = x*y*z on the line; permutation symmetric."""
+    """The cost c(x, y, z) = x*y*z on the line.
+
+    The factors are multiplied in sorted order, (a*b)*c, so the value is
+    bitwise invariant under permutations of the arguments.
+    """
 
     kind = "xyz"
     arity = 3
     dim = 1
     has_analytic_derivatives = True
 
-    def value(self, xs):
-        # multiply in sorted order so the value is exactly permutation
-        # invariant
-        a, b, c = sorted(float(x[0]) for x in xs)
-        return a * b * c
+    def values(self, xs):
+        a, b, c = _sorted_coords(xs)
+        return (a * b) * c
 
     def grad(self, i, xs):
         others = [float(xs[j][0]) for j in range(3) if j != i]
@@ -459,10 +466,6 @@ class ProductXYZ(CostModel):
     def mixed_hessian(self, i, j, xs):
         (k,) = [a for a in range(3) if a not in (i, j)]
         return np.array([[float(xs[k][0])]])
-
-    def grid_values(self, space):
-        px, py, pz = (ax.points[:, 0] for ax in space.axes)
-        return np.einsum("i,j,k->ijk", px, py, pz)
 
 
 def _twowell_p1(w: float) -> float:
@@ -485,8 +488,8 @@ class TwoWell(CostModel):
     dim = 1
     has_analytic_derivatives = True
 
-    def value(self, xs):
-        x, y, z = (float(v[0]) for v in xs)
+    def values(self, xs):
+        x, y, z = (v[..., 0] for v in xs)
         w = x - z
         return (x - y) ** 2 + w**2 * (w + 0.5) ** 2
 
@@ -508,18 +511,12 @@ class TwoWell(CostModel):
             return np.array([[-_twowell_p2(x - z)]])
         return np.array([[0.0]])
 
-    def grid_values(self, space):
-        px, py, pz = (ax.points[:, 0] for ax in space.axes)
-        dx_y = px[:, None, None] - py[None, :, None]
-        w = px[:, None, None] - pz[None, None, :]
-        return np.broadcast_to(dx_y**2 + w**2 * (w + 0.5) ** 2, space.shape).copy()
-
 
 class Tabulated(CostModel):
     """A cost given as a dense value array over one fixed product grid.
 
-    Only evaluable at grid points; point lookups match coordinates exactly
-    against the axis point sets.
+    Only evaluable at grid points: coordinates are matched exactly (by
+    their bytes) against the axis point sets, on every evaluation path.
     """
 
     kind = "tabulated"
@@ -531,32 +528,30 @@ class Tabulated(CostModel):
         if np.any(np.isnan(values)) or np.any(np.isneginf(values)):
             raise ValueError("tabulated values must be finite or +inf")
         values.setflags(write=False)
-        self.values = values
-        self.space = space
+        self.table = values
         self.arity = space.n
         self.dim = space.d
         self._lookup = [
             {pt.tobytes(): i for i, pt in enumerate(ax.points)} for ax in space.axes
         ]
 
-    def value(self, xs):
+    def values(self, xs):
         idx = []
-        for a, x in enumerate(xs):
-            key = np.ascontiguousarray(np.asarray(x, dtype=float)).tobytes()
-            i = self._lookup[a].get(key)
-            if i is None:
+        for x, lookup in zip(xs, self._lookup):
+            rows = np.ascontiguousarray(x, dtype=float).reshape(-1, x.shape[-1])
+            found = [lookup.get(row.tobytes()) for row in rows]
+            if None in found:
                 raise ValueError("tabulated cost evaluated off its grid")
-            idx.append(i)
-        return float(self.values[tuple(idx)])
-
-    def grid_values(self, space):
-        if space is not self.space and space.shape != self.values.shape:
-            raise ValueError("tabulated cost queried on a different grid")
-        return self.values
+            idx.append(np.array(found, dtype=np.intp).reshape(x.shape[:-1]))
+        return self.table[tuple(idx)]
 
 
 class UserHook(CostModel):
-    """An injectable cost callback, optionally with derivative callbacks."""
+    """An injectable cost callback, optionally with derivative callbacks.
+
+    The callback is the cost's one definition; grids and cell lists call
+    it once per cell.
+    """
 
     kind = "userhook"
 
@@ -614,6 +609,25 @@ def eval_cost(model: CostModel, point: Sequence) -> float:
     return v
 
 
+def _evaluate(model: CostModel, space: ProductSpace, xs) -> np.ndarray:
+    """``model.values(xs)`` after ``eval_cost``'s checks, for coordinates from ``space``."""
+    model.check_point(space.point((0,) * space.n))  # arity and dimension
+    out = np.asarray(model.values(xs), dtype=float)
+    bad = np.isnan(out) | np.isneginf(out)
+    if bad.any():
+        raise InternalConsistencyError(f"{model.kind} produced an invalid value {out[bad][0]}")
+    return out
+
+
 def cost_tensor(model: CostModel, space: ProductSpace) -> np.ndarray:
     """Dense cost values on the grid; +inf marks excluded cells."""
-    return model.grid_values(space)
+    n = space.n
+    xs = [ax.points.reshape((1,) * a + (-1,) + (1,) * (n - 1 - a) + (space.d,))
+          for a, ax in enumerate(space.axes)]
+    return _evaluate(model, space, xs)
+
+
+def cost_at(model: CostModel, space: ProductSpace, cells) -> np.ndarray:
+    """Cost values at the grid cells given as a (K, n) index array."""
+    cells = np.asarray(cells, dtype=np.intp).reshape(-1, space.n)
+    return _evaluate(model, space, [ax.points[cells[:, a]] for a, ax in enumerate(space.axes)])

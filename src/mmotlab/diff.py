@@ -100,13 +100,23 @@ def grad_x1(model: CostModel, point) -> np.ndarray:
 
 def grad(model: CostModel, point, i: int) -> np.ndarray:
     """Gradient with respect to variable ``i``; analytic when available."""
+    return grad_at_finite(model, _finite_point(model, point), i)
+
+
+def grad_at_finite(model: CostModel, point, i: int) -> np.ndarray:
+    """``grad`` at a point whose cost the caller already knows is finite."""
+    _reject_grid_locked(model)
+    xs = model.check_point(point)
+    return model.grad(i, xs) if model.has_analytic_derivatives else _fd_grad(model, xs, i)
+
+
+def _finite_point(model: CostModel, point) -> tuple[np.ndarray, ...]:
+    """The checked point; raises unless the cost there is finite and differenceable."""
     _reject_grid_locked(model)
     xs = model.check_point(point)
     if not math.isfinite(model.value(xs)):
         raise NondifferentiableCostError("cost is infinite at the requested point")
-    if model.has_analytic_derivatives:
-        return model.grad(i, xs)
-    return _fd_grad(model, xs, i)
+    return xs
 
 
 @dataclass(frozen=True)
@@ -130,10 +140,7 @@ def hessian_offdiag(model: CostModel, point) -> OffDiagonalHessian:
     Blocks with i < j are computed directly; the mirror blocks are their
     transposes, so the assembled matrix is symmetric by construction.
     """
-    _reject_grid_locked(model)
-    xs = model.check_point(point)
-    if not math.isfinite(model.value(xs)):
-        raise NondifferentiableCostError("cost is infinite at the requested point")
+    xs = _finite_point(model, point)
     n = len(xs)
     d = xs[0].shape[0]
     blocks = [[np.zeros((d, d)) for _ in range(n)] for _ in range(n)]

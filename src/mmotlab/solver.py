@@ -34,8 +34,8 @@ from .core import (
     InternalConsistencyError,
     InvalidCertificateError,
     ProductSpace,
+    cost_at,
     cost_tensor,
-    eval_cost,
 )
 
 #: absolute dual-feasibility tolerance, scaled by (1 + |c|) for large costs
@@ -306,9 +306,9 @@ def _check_result(model, space, plan, duals, primal, dual, tol_dual):
         raise InternalConsistencyError(
             f"support size {len(plan.entries)} exceeds the vertex bound {bound}"
         )
-    for idx in plan.entries:
+    cells = list(plan.entries)
+    for idx, cost in zip(cells, cost_at(model, space, cells).tolist()):
         c = duals.total_at(idx)
-        cost = eval_cost(model, space.point(idx))
         if abs(cost - c) > tol_dual * (1.0 + abs(cost)):
             raise InternalConsistencyError(
                 f"support cell {idx} is not tight: c={cost!r}, sum u={c!r}"

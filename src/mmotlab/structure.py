@@ -23,8 +23,8 @@ from .core import (
     NondifferentiableCostError,
     ProductSpace,
     UndefinedRegionError,
+    cost_at,
     cost_tensor,
-    eval_cost,
 )
 
 SUPPORT_TOL = 1e-10
@@ -99,10 +99,11 @@ def check_c_monotone(
     Violations come pair by pair (cells sorted), bipartitions in order
     within a pair.
 
-    Each distinct cell, given or swapped, is evaluated once with
-    ``eval_cost``.  Pairs are taken one first cell at a time against all
-    later cells, so beyond the memo of costs the work space is
-    O(S * 2^(n-1)) for S cells; nothing the size of the grid is built.
+    Each distinct cell, given or swapped, is evaluated once: pairs are
+    taken one first cell at a time against all later cells, and one
+    ``cost_at`` call evaluates the block's cells not seen before.  Beyond
+    the memo of costs the work space is O(S * 2^(n-1)) for S cells;
+    nothing the size of the grid is built.
     """
     n = space.n
     if n > 6:
@@ -134,12 +135,12 @@ def check_c_monotone(
         uniq, first, inverse = np.unique(
             keys.ravel(), return_index=True, return_inverse=True
         )
-        out = np.empty(len(uniq))
-        for u, (key, j) in enumerate(zip(uniq.tolist(), first.tolist())):
-            if key not in memo:
-                memo[key] = eval_cost(model, space.point(cell_at(j)))
-            out[u] = memo[key]
-        return out[inverse].reshape(keys.shape)
+        uniq = uniq.tolist()
+        missing = [(key, j) for key, j in zip(uniq, first.tolist()) if key not in memo]
+        if missing:
+            found = cost_at(model, space, [cell_at(j) for _, j in missing])
+            memo.update(zip((key for key, _ in missing), found.tolist()))
+        return np.array([memo[key] for key in uniq])[inverse].reshape(keys.shape)
 
     given = costs(parts.sum(axis=1), lambda j: cells[j])
     if not np.all(np.isfinite(given)):
@@ -295,9 +296,13 @@ def twist_multiplicity(
         cells = cells.cells
     by_x1: dict[int, list] = {}
     flagged = []
-    for cell in sorted(tuple(c) for c in cells):
+    cells = sorted(tuple(c) for c in cells)
+    finite = np.isfinite(cost_at(model, space, cells)).tolist()
+    for cell, ok in zip(cells, finite):
         try:
-            g = diff.grad_x1(model, space.point(cell))
+            if not ok:
+                raise NondifferentiableCostError("cost is infinite at the cell")
+            g = diff.grad_at_finite(model, space.point(cell), 0)
         except NondifferentiableCostError:
             flagged.append(cell)
             continue

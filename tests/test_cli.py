@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from mmotlab import Coupling, DiscreteMarginal, ProductSpace
-from mmotlab.cli import main
+from mmotlab import BUILTIN_COSTS, Coupling, DiscreteMarginal, ProductSpace
+from mmotlab.cli import build_parser, main
 from mmotlab.experiments import ExperimentSpec, experiment_registry
 from mmotlab.io import dump_coupling, dump_marginal
 
@@ -50,6 +51,46 @@ class TestExitCodes:
         assert main(["repro", "no-such-thing"]) == 1
         err = capsys.readouterr().err
         assert "coulomb-equal" in err  # usage error lists the registry
+
+    def test_tolerance_flag_on_a_command_that_ignores_it(self):
+        assert main(["signature", "--cost", "expcos", "--tol-grad", "5"]) == 1
+
+    def test_format_on_a_command_without_a_coupling(self, triple_files, tmp_path):
+        paths, space = triple_files
+        plan = Coupling({(i, i, i): 1 / 3 for i in range(3)}, space)
+        cpath = tmp_path / "plan.json"
+        dump_coupling(plan, cpath)
+        args = ["extremal", *_marg_args(paths), "--coupling", str(cpath)]
+        assert main([*args, "--format", "csv", "--out", str(tmp_path / "e.csv")]) == 1
+        assert main([*args, "--out", str(tmp_path / "e.json")]) == 0
+
+    def test_flags_registered_only_where_read(self):
+        subcommands = next(
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        tols = {
+            "solve": {"--tol-dual"},
+            "decompose": {"--tol-support"},
+            "check-monotone": {"--tol-support"},
+            "check-splitting": {"--tol-dual", "--tol-support"},
+            "twist-count": {"--tol-dual", "--tol-grad"},
+        }
+        for name, sub in subcommands.items():
+            options = {opt for action in sub._actions for opt in action.option_strings}
+            assert {opt for opt in options if opt.startswith("--tol-")} == tols.get(name, set())
+            assert ("--format" in options) == (name in ("solve", "witness")), name
+            for action in sub._actions:
+                if "--cost" in action.option_strings:
+                    assert list(action.choices) == list(BUILTIN_COSTS)
+
+    def test_check_splitting_with_tolerances(self, triple_files, tmp_path):
+        paths, _ = triple_files
+        out = tmp_path / "s.json"
+        code = main(["check-splitting", *_marg_args(paths), "--cost", "coulomb1d",
+                     "--tol-dual", "1e-9", "--tol-support", "1e-10", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["payload"]["support_size"] == 3
 
     def test_solve_success(self, triple_files, tmp_path):
         paths, _ = triple_files

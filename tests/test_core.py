@@ -19,8 +19,38 @@ from mmotlab import (
     make_cost,
     solve_exact,
 )
-from mmotlab.core import cost_tensor
+from mmotlab.core import BUILTIN_COSTS, CostModel, InternalConsistencyError, cost_at, cost_tensor
 from mmotlab.experiments import coulomb_perturbed_space
+
+
+def _shuffled_space(rng, sizes, d=1, equal=False, low=0.0):
+    """Axes of random points in no particular order (uniform weights)."""
+    axes = []
+    for size in sizes:
+        if not (equal and axes):
+            pts = rng.uniform(low, 1.0, size=(size, d))
+            if np.all(np.diff(pts[:, 0]) > 0):
+                pts = pts[::-1]
+            axes.append(DiscreteMarginal(pts, np.full(size, 1.0 / size)))
+        else:
+            axes.append(axes[0])
+    return ProductSpace(axes)
+
+
+def _assert_grid_is_pointwise(model, space):
+    """cost_tensor, cost_at and eval_cost agree bit for bit on every cell."""
+    grid = cost_tensor(model, space)
+    cells = list(itertools.product(*map(range, space.shape)))
+    pointwise = np.array([eval_cost(model, space.point(c)) for c in cells])
+    assert grid.shape == space.shape
+    assert grid.ravel().tobytes() == pointwise.tobytes()
+    assert cost_at(model, space, cells).tobytes() == pointwise.tobytes()
+
+
+def _assert_transpose_symmetric(model, space):
+    grid = cost_tensor(model, space)
+    for sigma in itertools.permutations(range(space.n)):
+        assert np.array_equal(grid, grid.transpose(sigma)), sigma
 
 
 class TestDiscreteMarginal:
@@ -180,13 +210,17 @@ class TestCoulomb1D:
                 assert eval_cost(c, list(perm)) == base
 
     def test_grid_values_match_pointwise(self, rng):
-        m1 = DiscreteMarginal(np.sort(rng.uniform(0, 1, 4)), [0.25] * 4)
-        m2 = DiscreteMarginal(np.sort(rng.uniform(0, 1, 3)), [1 / 3] * 3)
-        space = ProductSpace([m1, m2])
-        c = Coulomb1D()
-        grid = cost_tensor(c, space)
-        for idx in itertools.product(*map(range, space.shape)):
-            assert grid[idx] == pytest.approx(eval_cost(c, space.point(idx)), rel=1e-12)
+        m1 = DiscreteMarginal(rng.uniform(0, 1, 4), [0.25] * 4)
+        m2 = DiscreteMarginal(rng.uniform(0, 1, 3), [1 / 3] * 3)
+        _assert_grid_is_pointwise(Coulomb1D(), ProductSpace([m1, m2]))
+        _assert_grid_is_pointwise(Coulomb1D(), _shuffled_space(rng, (5, 4, 6, 3)))
+
+    def test_tensor_is_symmetric_on_identical_axes(self, rng):
+        for n in (3, 4):
+            _assert_transpose_symmetric(Coulomb1D(), _shuffled_space(rng, (7,) * n, equal=True))
+        # the 15-point uniform grid of the A1 instance
+        m = DiscreteMarginal(np.linspace(0.0, 1.0, 15), np.full(15, 1 / 15))
+        _assert_transpose_symmetric(Coulomb1D(), ProductSpace([m, m, m]))
 
     def test_any_arity(self):
         c = Coulomb1D()
@@ -224,8 +258,13 @@ class TestProductXYZ:
         m = DiscreteMarginal([-1.0, 2.0], [0.5, 0.5])
         space = ProductSpace([m, m, m])
         grid = cost_tensor(ProductXYZ(), space)
-        assert grid[(0, 0, 1)] == pytest.approx(2.0)
-        assert grid[(1, 1, 1)] == pytest.approx(8.0)
+        assert grid[(0, 0, 1)] == 2.0
+        assert grid[(1, 1, 1)] == 8.0
+
+    def test_tensor_is_symmetric_on_identical_axes(self, rng):
+        _assert_transpose_symmetric(ProductXYZ(), _shuffled_space(rng, (9,) * 3, equal=True, low=-1.0))
+        m = DiscreteMarginal(np.linspace(0.0, 1.0, 15), np.full(15, 1 / 15))
+        _assert_transpose_symmetric(ProductXYZ(), ProductSpace([m, m, m]))
 
 
 class TestTwoWell:
@@ -241,12 +280,10 @@ class TestTwoWell:
         assert eval_cost(c, ([0.0], [0.0], [0.2])) > 0
 
     def test_grid_values_match_pointwise(self, rng):
-        m = DiscreteMarginal(np.sort(rng.uniform(0, 1, 3)), [1 / 3] * 3)
-        m3 = DiscreteMarginal(np.sort(rng.uniform(0, 1.5, 4)), [0.25] * 4)
-        space = ProductSpace([m, m, m3])
-        grid = cost_tensor(TwoWell(), space)
-        for idx in itertools.product(*map(range, space.shape)):
-            assert grid[idx] == pytest.approx(eval_cost(TwoWell(), space.point(idx)))
+        m = DiscreteMarginal(rng.uniform(0, 1, 3), [1 / 3] * 3)
+        m3 = DiscreteMarginal(rng.uniform(0, 1.5, 4), [0.25] * 4)
+        _assert_grid_is_pointwise(TwoWell(), ProductSpace([m, m, m3]))
+        _assert_grid_is_pointwise(TwoWell(), _shuffled_space(rng, (5, 4, 6)))
 
 
 class TestTabulated:
@@ -262,6 +299,19 @@ class TestTabulated:
     def test_off_grid_rejected(self):
         with pytest.raises(ValueError, match="off its grid"):
             eval_cost(self.model, ([0.5], [0.0]))
+
+    def test_lookup_by_coordinates_on_every_path(self):
+        # the same points listed in another order address the same entries
+        m = DiscreteMarginal([1.0, 0.0], [0.5, 0.5])
+        other = ProductSpace([m, m])
+        assert cost_tensor(self.model, other).tolist() == [[math.inf, 2.0], [1.0, 0.0]]
+        assert cost_at(self.model, other, [(0, 1), (1, 0)]).tolist() == [2.0, 1.0]
+        _assert_grid_is_pointwise(self.model, other)
+
+    def test_other_grid_of_the_same_shape_rejected(self):
+        m = DiscreteMarginal([0.0, 2.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="off its grid"):
+            cost_tensor(self.model, ProductSpace([m, m]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
@@ -281,6 +331,59 @@ class TestUserHook:
         model = UserHook(lambda xs: -math.inf, n=2)
         with pytest.raises(ValueError):
             eval_cost(model, ([0.0], [1.0]))
+
+    def test_grid_calls_the_hook_once_per_cell(self, rng):
+        calls = []
+
+        def fn(xs):
+            calls.append(xs)
+            return math.sin(xs[0][0] * xs[1][0]) + xs[2][0]
+
+        space = _shuffled_space(rng, (3, 4, 2))
+        _assert_grid_is_pointwise(UserHook(fn, n=3), space)
+        # once per cell for the tensor, once per cell for eval_cost, once
+        # per cell for cost_at
+        assert len(calls) == 3 * 24
+        assert all(len(xs) == 3 and all(x.shape == (1,) for x in xs) for xs in calls)
+
+
+class TestOnePath:
+    """Every evaluation path gives the bits of the one definition."""
+
+    def test_every_builtin_on_shuffled_axes(self, rng):
+        for cls in BUILTIN_COSTS.values():
+            model = cls()
+            n = model.arity or 4
+            # signed coordinates, so xyz also meets products of mixed signs
+            space = _shuffled_space(rng, (4, 5, 3, 4)[:n], d=model.dim, low=-1.0)
+            _assert_grid_is_pointwise(model, space)
+
+    def test_no_cells(self, rng):
+        space = _shuffled_space(rng, (3, 2, 4))
+        models = [Coulomb1D(), ProductXYZ(), TwoWell(), UserHook(lambda xs: 0.0, n=3),
+                  Tabulated(rng.uniform(size=space.shape), space)]
+        for model in models:
+            assert cost_at(model, space, []).shape == (0,)
+
+    def test_invalid_values_raise_on_every_path(self):
+        m = DiscreteMarginal([0.0, 1.0], [0.5, 0.5])
+        space = ProductSpace([m, m])
+
+        class Broken(CostModel):
+            kind = "broken"
+
+            def values(self, xs):
+                return np.where(xs[0][..., 0] > 0.5, np.nan, 0.0) + xs[1][..., 0]
+
+        with pytest.raises(InternalConsistencyError, match="invalid value"):
+            cost_tensor(Broken(), space)
+        with pytest.raises(InternalConsistencyError, match="invalid value"):
+            cost_at(Broken(), space, [(1, 0)])
+        assert cost_at(Broken(), space, [(0, 1)]).tolist() == [1.0]
+
+    def test_a_cost_must_define_values_or_value(self):
+        with pytest.raises(NotImplementedError):
+            eval_cost(CostModel(), ([0.0], [1.0]))
 
 
 class TestFactoryAndIteration:

@@ -11,6 +11,7 @@ from mmotlab import (
     InfeasibleTransportError,
     InvalidCertificateError,
     ProductSpace,
+    ProductXYZ,
     Tabulated,
     TwoWell,
     UserHook,
@@ -18,6 +19,7 @@ from mmotlab import (
     duality_gap,
     solve_exact,
 )
+from mmotlab import solver
 from mmotlab.core import InternalConsistencyError, eval_cost
 from mmotlab.experiments import coulomb_perturbed_space, twowell_space
 from mmotlab.solver import _basis_matrix, _factor, _Lp
@@ -121,6 +123,44 @@ class TestInfeasibility:
             solve_exact(Coulomb1D(), space)
 
 
+class TestCostSpaceMismatch:
+    """A cost that cannot be evaluated on the space fails before any pivot,
+    with the message ``eval_cost`` gives on one of its cells."""
+
+    @pytest.fixture(autouse=True)
+    def no_pivots(self, monkeypatch):
+        def pivot(*args, **kwargs):
+            raise AssertionError("the simplex started")
+
+        monkeypatch.setattr(solver, "_simplex", pivot)
+
+    @staticmethod
+    def _assert_fails_like_eval_cost(model, space):
+        with pytest.raises(ValueError) as pointwise:
+            eval_cost(model, space.point((0,) * space.n))
+        with pytest.raises(ValueError) as solved:
+            solve_exact(model, space)
+        assert str(solved.value) == str(pointwise.value)
+        return str(solved.value)
+
+    def test_coulomb_on_points_in_the_plane(self):
+        m = DiscreteMarginal([[0.0, 0.0], [1.0, 0.5]], [0.5, 0.5])
+        message = self._assert_fails_like_eval_cost(Coulomb1D(), ProductSpace([m, m, m]))
+        assert message == "coulomb1d needs points in R^1, got shape (2,)"
+
+    def test_xyz_on_four_axes(self):
+        m = _uniform_line([0.0, 1.0])
+        message = self._assert_fails_like_eval_cost(ProductXYZ(), ProductSpace([m] * 4))
+        assert message == "xyz needs 3 arguments, got 4"
+
+    def test_tabulated_on_another_grid_of_the_same_shape(self):
+        tabled = ProductSpace([_uniform_line([0.0, 1.0])] * 2)
+        other = ProductSpace([_uniform_line([2.0, 0.0])] * 2)
+        model = Tabulated([[0.0, 1.0], [1.0, 0.0]], tabled)
+        message = self._assert_fails_like_eval_cost(model, other)
+        assert message == "tabulated cost evaluated off its grid"
+
+
 class TestConjugateUpdate:
     def test_two_point_minimum(self):
         model = UserHook(lambda xs: (xs[0][0] - xs[1][0]) ** 2, n=2)
@@ -222,26 +262,29 @@ class TestPivotPath:
     """
 
     def test_coulomb_perturbed_12(self):
+        # Recorded when Coulomb1D became one broadcast definition that sorts
+        # the coordinates first: the tensor's bits moved on cells whose
+        # coordinates do not ascend along the axes, and with them the path.
         result = solve_exact(Coulomb1D(), coulomb_perturbed_space(12, seed=1))
-        assert result.iterations == 216
+        assert result.iterations == 207
         assert dict(result.plan.entries) == {
-            (0, 5, 9): 0.026881982525920972, (0, 8, 5): 0.018227017847871944,
-            (0, 9, 5): 0.011890459156712226, (1, 5, 9): 0.033156028380634875,
-            (1, 6, 9): 0.012565530394686095, (1, 6, 10): 0.02143225617610026,
-            (2, 10, 6): 0.049081279941308384, (2, 10, 7): 0.012539765061457334,
-            (3, 7, 10): 0.050491041815361425, (3, 11, 7): 0.026968337456886406,
-            (4, 8, 11): 0.05581257817901256, (4, 11, 8): 0.017154049567610206,
-            (5, 0, 8): 0.006225072951128015, (5, 1, 9): 0.030802265321498795,
-            (5, 9, 0): 0.04229608360972856, (6, 2, 10): 0.033046260864349225,
-            (6, 9, 1): 0.042153419754436774, (6, 10, 1): 0.015688281222393102,
-            (7, 3, 11): 0.06045942555475265, (7, 10, 2): 0.02415294815837772,
-            (7, 10, 3): 0.0037888213452067013, (8, 5, 0): 0.01886431424622565,
-            (8, 11, 4): 0.06958750699464866, (8, 11, 5): 0.007263247583437181,
-            (9, 0, 5): 0.04939433966274143, (9, 1, 6): 0.035174671911758534,
-            (9, 6, 1): 0.00554188484227525, (10, 2, 7): 0.031486520502430754,
-            (10, 6, 2): 0.04170813895133915, (10, 7, 3): 0.03634373905007968,
-            (11, 3, 7): 0.01084646138917685, (11, 4, 8): 0.07115444980061811,
-            (11, 5, 8): 0.001089013997213846, (11, 8, 3): 0.02673280578262059,
+            (0, 5, 9): 0.020953650969268788, (0, 8, 5): 0.03604580856123632,
+            (1, 5, 9): 0.05176709169673734, (1, 6, 10): 0.015386723254683883,
+            (2, 7, 10): 0.024881428869838407, (2, 10, 6): 0.03673961613292732,
+            (3, 7, 10): 0.042666040743319124, (3, 8, 11): 0.026732805782620588,
+            (3, 11, 7): 0.008060532746308115, (4, 11, 8): 0.07296662774662277,
+            (5, 0, 9): 0.013024851917233828, (5, 1, 9): 0.012191202005396307,
+            (5, 8, 11): 0.0002175665877602595, (5, 9, 0): 0.05388980137196498,
+            (6, 1, 9): 0.005469010034104466, (6, 1, 10): 0.0008003894736169706,
+            (6, 2, 10): 0.02123497651435255, (6, 9, 1): 0.042450161148912556,
+            (6, 10, 1): 0.02093342467019256, (7, 3, 11): 0.0408231401327137,
+            (7, 10, 3): 0.04757805492562337, (8, 4, 11): 0.04849849123067072,
+            (8, 5, 0): 0.007270596483989214, (8, 11, 4): 0.03994598110965156,
+            (9, 0, 5): 0.04259456069663561, (9, 1, 6): 0.0475163357201396,
+            (10, 2, 7): 0.04329780485242743, (10, 6, 2): 0.06586108710971686,
+            (10, 7, 3): 0.00037950654170528994, (11, 3, 7): 0.030482746811215787,
+            (11, 4, 8): 0.022655958569947385, (11, 7, 3): 0.018907804710578284,
+            (11, 8, 4): 0.029641525884997105, (11, 8, 5): 0.00813469499289083,
         }
 
     def test_twowell_20(self):
