@@ -28,7 +28,6 @@ from .core import (
 from .diff import (
     OffDiagonalHessian,
     SignatureReport,
-    grad_x1,
     hessian_offdiag,
     signature,
     three_marginal_criterion,
@@ -51,7 +50,6 @@ from .structure import (
     decompose_graphs,
     region_of,
     splitting_support,
-    support_subset,
     twist_multiplicity,
 )
 

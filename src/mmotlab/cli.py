@@ -24,7 +24,9 @@ from .core import (
     TransportError,
     make_cost,
 )
-from .solver import solve_exact
+from .experiments import assertion
+from .solver import TOL_DUAL, solve_exact
+from .structure import GRAD_TOL, SUPPORT_TOL
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,7 +39,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 #: the tolerance flags ``--tol-NAME`` and their defaults
-_TOLERANCES = {"support": 1e-10, "dual": 1e-9, "grad": 1e-6}
+_TOLERANCES = {"support": SUPPORT_TOL, "dual": TOL_DUAL, "grad": GRAD_TOL}
+#: flags that shape the output rather than the result; ``seed`` has its own field
+_NOT_IN_SPEC = {"help", "out", "fmt", "seed"}
 
 
 def _add_common(parser, marginals=False, cost=False, coupling=False, sampled=False,
@@ -52,7 +56,7 @@ def _add_common(parser, marginals=False, cost=False, coupling=False, sampled=Fal
         )
     if marginals:
         parser.add_argument(
-            "--marginal", action="append", required=True, metavar="FILE",
+            "--marginal", action="append", required=True, metavar="FILE", dest="marginals",
             help="marginal JSON file; repeat once per axis",
         )
     if cost:
@@ -80,21 +84,22 @@ def _sample_points(cost_kind, rng):
             return tuple(coords.reshape(3, 1))
 
 
-def _emit(args, command, spec, assertions, payload, seed=None, started=None):
+def _emit(args, report: dict, elapsed: float) -> int:
+    """Write the report envelope; ``report`` holds ``payload`` and ``assertions``
+    and may override ``command``, ``spec`` and ``seed``."""
     report = {
         "tool": "mmotlab",
         "version": __version__,
-        "command": command,
-        "spec": spec,
-        "seed": seed,
-        "timing_seconds": time.monotonic() - started if started else 0.0,
-        "assertions": assertions,
-        "payload": payload,
+        "command": args.command,
+        "spec": {key: getattr(args, key) for key in args.spec_keys},
+        "seed": getattr(args, "seed", None),
+        "timing_seconds": elapsed,
+        **report,
     }
     if getattr(args, "fmt", "json") == "csv":
         rows = [
             entry["idx"] + [entry["mass"]]
-            for entry in payload["coupling"]["entries"]
+            for entry in report["payload"]["coupling"]["entries"]
         ]
         target = open(args.out, "w", newline="") if args.out else sys.stdout
         try:
@@ -113,19 +118,15 @@ def _emit(args, command, spec, assertions, payload, seed=None, started=None):
                 fh.write(text + "\n")
         else:
             print(text)
-    return 2 if any(not a["passed"] for a in assertions) else 0
-
-
-def _duals_to_list(duals):
-    return [[float(v) for v in u] for u in duals.values]
+    return 2 if any(not a["passed"] for a in report["assertions"]) else 0
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns the report's payload and assertions
 # ---------------------------------------------------------------------------
 
-def _cmd_solve(args, started):
-    space = _load_space(args.marginal)
+def _cmd_solve(args):
+    space = _load_space(args.marginals)
     model = make_cost(args.cost)
     result = solve_exact(model, space, tol_dual=args.tol_dual)
     payload = {
@@ -133,22 +134,16 @@ def _cmd_solve(args, started):
         "dual_value": result.dual_value,
         "iterations": result.iterations,
         "coupling": io.coupling_to_dict(result.plan),
-        "duals": _duals_to_list(result.duals),
+        "duals": [u.tolist() for u in result.duals.values],
     }
     gap = result.primal_value - result.dual_value
-    assertions = [
-        {
-            "name": "duality_gap",
-            "passed": gap <= args.tol_dual * (1.0 + abs(result.primal_value)),
-            "detail": f"gap={gap:.3e}",
-        }
-    ]
-    spec = {"marginals": args.marginal, "cost": args.cost, "tol_dual": args.tol_dual}
-    return _emit(args, "solve", spec, assertions, payload, started=started)
+    passed = gap <= args.tol_dual * (1.0 + abs(result.primal_value))
+    return {"payload": payload,
+            "assertions": [assertion("duality_gap", passed, f"gap={gap:.3e}")]}
 
 
-def _cmd_decompose(args, started):
-    space = _load_space(args.marginal)
+def _cmd_decompose(args):
+    space = _load_space(args.marginals)
     plan = io.load_coupling(args.coupling, space)
     decomp = structure.decompose_graphs(plan, tol_mass=args.tol_support)
     branches = {
@@ -158,14 +153,11 @@ def _cmd_decompose(args, started):
         ]
         for i1, row in decomp.branches.items()
     }
-    payload = {"k": decomp.k, "branches": branches}
-    spec = {"marginals": args.marginal, "coupling": args.coupling,
-            "tol_support": args.tol_support}
-    return _emit(args, "decompose", spec, [], payload, started=started)
+    return {"payload": {"k": decomp.k, "branches": branches}, "assertions": []}
 
 
-def _cmd_check_monotone(args, started):
-    space = _load_space(args.marginal)
+def _cmd_check_monotone(args):
+    space = _load_space(args.marginals)
     model = make_cost(args.cost)
     plan = io.load_coupling(args.coupling, space)
     violations = structure.check_c_monotone(
@@ -182,19 +174,13 @@ def _cmd_check_monotone(args, started):
             for v in violations
         ]
     }
-    assertions = [
-        {
-            "name": "no_monotonicity_violations",
-            "passed": not violations,
-            "detail": f"{len(violations)} violations",
-        }
-    ]
-    spec = {"marginals": args.marginal, "cost": args.cost, "coupling": args.coupling}
-    return _emit(args, "check-monotone", spec, assertions, payload, started=started)
+    check = assertion("no_monotonicity_violations", not violations,
+                      f"{len(violations)} violations")
+    return {"payload": payload, "assertions": [check]}
 
 
-def _cmd_check_splitting(args, started):
-    space = _load_space(args.marginal)
+def _cmd_check_splitting(args):
+    space = _load_space(args.marginals)
     model = make_cost(args.cost)
     result = solve_exact(model, space, tol_dual=args.tol_dual)
     report = structure.splitting_support(model, space, result.duals,
@@ -205,20 +191,12 @@ def _cmd_check_splitting(args, started):
         "max_violation": report.max_violation,
         "support_size": len(support),
     }
-    assertions = [
-        {
-            "name": "plan_support_inside_splitting_set",
-            "passed": support <= report.cells,
-            "detail": "",
-        }
-    ]
-    spec = {"marginals": args.marginal, "cost": args.cost,
-            "tol_dual": args.tol_dual}
-    return _emit(args, "check-splitting", spec, assertions, payload, started=started)
+    check = assertion("plan_support_inside_splitting_set", support <= report.cells)
+    return {"payload": payload, "assertions": [check]}
 
 
-def _cmd_twist_count(args, started):
-    space = _load_space(args.marginal)
+def _cmd_twist_count(args):
+    space = _load_space(args.marginals)
     model = make_cost(args.cost)
     result = solve_exact(model, space, tol_dual=args.tol_dual)
     split = structure.splitting_support(model, space, result.duals,
@@ -229,11 +207,10 @@ def _cmd_twist_count(args, started):
         "n_clusters": len(twist.clusters),
         "flagged_cells": sorted(list(c) for c in twist.flagged_cells),
     }
-    spec = {"marginals": args.marginal, "cost": args.cost, "tol_grad": args.tol_grad}
-    return _emit(args, "twist-count", spec, [], payload, started=started)
+    return {"payload": payload, "assertions": []}
 
 
-def _cmd_signature(args, started):
+def _cmd_signature(args):
     model = make_cost(args.cost)
     rng = np.random.default_rng(args.seed)
     triples = []
@@ -242,13 +219,10 @@ def _cmd_signature(args, started):
         sig = diff.signature(diff.hessian_offdiag(model, point).assembled)
         triples.append(sig.triple)
         print(f"({sig.n_plus},{sig.n_minus},{sig.n_zero})")
-    payload = {"signatures": [list(t) for t in triples]}
-    spec = {"cost": args.cost, "samples": args.samples}
-    return _emit(args, "signature", spec, [], payload,
-                 seed=args.seed, started=started)
+    return {"payload": {"signatures": [list(t) for t in triples]}, "assertions": []}
 
 
-def _cmd_criterion3(args, started):
+def _cmd_criterion3(args):
     model = make_cost(args.cost)
     rng = np.random.default_rng(args.seed)
     results = []
@@ -264,13 +238,11 @@ def _cmd_criterion3(args, started):
             }
         )
     payload = {"samples": results, "all_negative_definite": all_negative}
-    spec = {"cost": args.cost, "samples": args.samples}
-    return _emit(args, "criterion3", spec, [], payload,
-                 seed=args.seed, started=started)
+    return {"payload": payload, "assertions": []}
 
 
-def _cmd_extremal(args, started):
-    space = _load_space(args.marginal)
+def _cmd_extremal(args):
+    space = _load_space(args.marginals)
     plan = io.load_coupling(args.coupling, space)
     cert = extremal.is_vertex(plan)
     payload = {
@@ -281,12 +253,11 @@ def _cmd_extremal(args, started):
             else [{"idx": list(k), "coeff": v} for k, v in sorted(cert.kernel_direction.items())]
         ),
     }
-    spec = {"marginals": args.marginal, "coupling": args.coupling}
-    return _emit(args, "extremal", spec, [], payload, started=started)
+    return {"payload": payload, "assertions": []}
 
 
-def _cmd_thm41(args, started):
-    space = _load_space(args.marginal)
+def _cmd_thm41(args):
+    space = _load_space(args.marginals)
     with open(args.maps) as fh:
         data = json.load(fh)
     maps = [
@@ -303,17 +274,13 @@ def _cmd_thm41(args, started):
         "cycle": list(report.cycle) if report.cycle else None,
         "failures": [list(map(str, f)) for f in report.failures],
     }
-    assertions = [
-        {"name": "hypothesis_i", "passed": report.hypothesis_i, "detail": ""},
-        {"name": "hypothesis_ii", "passed": report.hypothesis_ii, "detail": ""},
-        {"name": "hypothesis_iii", "passed": report.hypothesis_iii, "detail": ""},
-    ]
-    spec = {"marginals": args.marginal, "maps": args.maps}
-    return _emit(args, "thm41", spec, assertions, payload, started=started)
+    checks = [assertion(name, payload[name])
+              for name in ("hypothesis_i", "hypothesis_ii", "hypothesis_iii")]
+    return {"payload": payload, "assertions": checks}
 
 
-def _cmd_witness(args, started):
-    space = _load_space(args.marginal)
+def _cmd_witness(args):
+    space = _load_space(args.marginals)
     plan = io.load_coupling(args.coupling, space)
     model = make_cost(args.cost) if args.cost else None
     sets = [
@@ -321,45 +288,29 @@ def _cmd_witness(args, started):
         for s in (args.s1, args.s2, args.s3)
     ]
     witness = extremal.symmetry_witness(plan, *sets, model=model)
-    payload = {
-        "coupling": io.coupling_to_dict(witness),
-        "tv_distance": plan.tv_distance(witness),
-    }
-    assertions = [
-        {
-            "name": "witness_differs_from_plan",
-            "passed": plan.tv_distance(witness) > 1e-12,
-            "detail": "",
-        }
-    ]
-    spec = {"marginals": args.marginal, "coupling": args.coupling,
-            "s1": args.s1, "s2": args.s2, "s3": args.s3, "cost": args.cost}
-    return _emit(args, "witness", spec, assertions, payload, started=started)
+    tv = plan.tv_distance(witness)
+    payload = {"coupling": io.coupling_to_dict(witness), "tv_distance": tv}
+    return {"payload": payload,
+            "assertions": [assertion("witness_differs_from_plan", tv > 1e-12)]}
 
 
-def _cmd_repro(args, started):
-    overrides = {}
-    if args.grid_size is not None:
-        overrides["grid_size"] = args.grid_size
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+def _cmd_repro(args):
     specs = {spec.name: spec for spec in experiments.experiment_registry()}
     spec = specs.get(args.name)
     if spec is None:
         names = ", ".join(sorted(specs))
-        print(f"unknown experiment {args.name!r}; registered: {names}", file=sys.stderr)
-        return 1
-    overrides = {k: v for k, v in overrides.items() if k in spec.params}
-    report = experiments.run_experiment(args.name, **overrides)
-    return _emit(
-        args,
-        f"repro {args.name}",
-        report["spec"],
-        report["assertions"],
-        report["payload"],
-        seed=report["spec"]["params"].get("seed"),
-        started=started,
+        raise ValueError(f"unknown experiment {args.name!r}; registered: {names}")
+    overrides = {"grid_size": args.grid_size, "seed": args.seed}
+    report = experiments.run_experiment(
+        args.name, **{k: v for k, v in overrides.items() if k in spec.params}
     )
+    return {
+        "command": f"repro {args.name}",
+        "spec": report["spec"],
+        "seed": report["spec"]["params"].get("seed"),
+        "assertions": report["assertions"],
+        "payload": report["payload"],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_repro)
 
+    # A report's spec is every flag its command registers (repro's handler
+    # replaces it with the experiment's spec).
+    for p in sub.choices.values():
+        p.set_defaults(spec_keys=[a.dest for a in p._actions if a.dest not in _NOT_IN_SPEC])
     return parser
 
 
@@ -435,7 +390,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     started = time.monotonic()
     try:
-        return args.handler(args, started)
+        report = args.handler(args)
+        return _emit(args, report, time.monotonic() - started)
     except (TransportError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"mmotlab: error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -80,6 +79,8 @@ def _as_points(points) -> np.ndarray:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] < 1:
         raise ValueError("points must be a nonempty (N, d) array with d >= 1")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite (got NaN or inf)")
     return pts
 
 
@@ -93,6 +94,8 @@ class DiscreteMarginal:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.shape[0] != pts.shape[0]:
             raise ValueError("weights must be a vector matching the point count")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite (got NaN or inf)")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > MASS_TOL:
@@ -182,8 +185,8 @@ class Coupling:
                 raise ValueError(f"index tuple {idx} has wrong arity")
             if any(i < 0 or i >= shape[a] for a, i in enumerate(idx)):
                 raise ValueError(f"index tuple {idx} out of range for shape {shape}")
-            if mass <= 0:
-                raise ValueError(f"cell {idx} has nonpositive mass {mass}")
+            if not 0 < mass < math.inf:
+                raise ValueError(f"cell {idx} has nonpositive or non-finite mass {mass}")
             clean[idx] = float(mass)
         total = math.fsum(clean.values())
         if abs(total - 1.0) > MASS_TOL:
@@ -203,14 +206,6 @@ class Coupling:
         out = np.zeros(self.space.shape[axis])
         for idx, m in self.entries.items():
             out[idx[axis]] += m
-        return out
-
-    def project(self, axes: Sequence[int]) -> dict[tuple[int, ...], float]:
-        """Entry map of the push-forward onto a subset of axes."""
-        out: dict[tuple[int, ...], float] = {}
-        for idx, m in self.entries.items():
-            key = tuple(idx[a] for a in axes)
-            out[key] = out.get(key, 0.0) + m
         return out
 
     def permuted(self, sigma: Sequence[int]) -> "Coupling":
@@ -283,12 +278,6 @@ class DualPotentials:
             axis_shape[j] = -1
             total = total + u.reshape(axis_shape)
         return total
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 # ---------------------------------------------------------------------------

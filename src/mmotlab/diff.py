@@ -93,11 +93,6 @@ def _fd_mixed_block(model: CostModel, xs, i: int, j: int) -> np.ndarray:
     return out
 
 
-def grad_x1(model: CostModel, point) -> np.ndarray:
-    """Gradient of the cost with respect to the first variable."""
-    return grad(model, point, 0)
-
-
 def grad(model: CostModel, point, i: int) -> np.ndarray:
     """Gradient with respect to variable ``i``; analytic when available."""
     return grad_at_finite(model, _finite_point(model, point), i)

@@ -7,9 +7,10 @@ pass/fail record per claim being reproduced.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,12 +42,9 @@ class ExperimentSpec:
             "params": dict(self.params),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentSpec":
-        return cls(data["name"], data["description"], dict(data["params"]))
 
-
-def _assertion(name: str, passed: bool, detail="") -> dict:
+def assertion(name: str, passed: bool, detail="") -> dict:
+    """One pass/fail record of a report's ``assertions`` list."""
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
@@ -148,11 +146,11 @@ def run_coulomb_equal(grid_size: int = 15) -> dict:
     sym_k = structure.decompose_graphs(sym).k
     sym_dev = abs(sym.transport_cost(Coulomb1D()) - result.primal_value)
     assertions = [
-        _assertion("graph_count_equals_2", sym_k == 2, f"symmetric k={sym_k}"),
-        _assertion("graph_count_at_most_4", decomp.k <= 4, f"k={decomp.k}"),
-        _assertion("duality_gap", gap <= tol, f"gap={gap:.3e}"),
-        _assertion("symmetric_plan_optimal", sym_dev <= tol, f"dev={sym_dev:.3e}"),
-        _assertion(
+        assertion("graph_count_equals_2", sym_k == 2, f"symmetric k={sym_k}"),
+        assertion("graph_count_at_most_4", decomp.k <= 4, f"k={decomp.k}"),
+        assertion("duality_gap", gap <= tol, f"gap={gap:.3e}"),
+        assertion("symmetric_plan_optimal", sym_dev <= tol, f"dev={sym_dev:.3e}"),
+        assertion(
             "symmetric_plan_not_vertex", not extremal.is_vertex(sym).is_extremal
         ),
     ]
@@ -190,8 +188,8 @@ def run_coulomb_unequal(grid_size: int = 8, seed: int = 0) -> dict:
     space = coulomb_perturbed_space(grid_size, seed)
     payload, max_mult, region_unique = _coulomb_twist_report(space)
     assertions = [
-        _assertion("multiplicity_at_most_4", max_mult <= 4, f"m={max_mult}"),
-        _assertion("one_cell_per_order_region", region_unique),
+        assertion("multiplicity_at_most_4", max_mult <= 4, f"m={max_mult}"),
+        assertion("one_cell_per_order_region", region_unique),
     ]
     return {"assertions": assertions, "payload": payload}
 
@@ -216,7 +214,7 @@ def run_coulomb_sharpness_search(
     # Whether any marginals force k above the twist bound is open; the
     # search only records what it sees.
     assertions = [
-        _assertion("search_completed", len(ks) == trials, f"{len(ks)} trials"),
+        assertion("search_completed", len(ks) == trials, f"{len(ks)} trials"),
     ]
     return {
         "assertions": assertions,
@@ -254,9 +252,9 @@ def run_xyz_unique(m_half: int = 10) -> dict:
     value_ok = abs(result.primal_value - expected_value) <= 1e-9
 
     assertions = [
-        _assertion("support_on_the_two_graphs", support_ok),
-        _assertion("alpha_half_half_positive_one_zero_negative", alpha_ok),
-        _assertion(
+        assertion("support_on_the_two_graphs", support_ok),
+        assertion("alpha_half_half_positive_one_zero_negative", alpha_ok),
+        assertion(
             "optimal_value_matches_cubic_bound",
             value_ok,
             f"value={result.primal_value!r} expected={expected_value!r}",
@@ -294,15 +292,15 @@ def run_twowell_extremal(steps: int = 20) -> dict:
     cert = extremal.is_vertex(result.plan)
 
     assertions = [
-        _assertion("support_on_the_two_graphs", support_ok),
-        _assertion(
+        assertion("support_on_the_two_graphs", support_ok),
+        assertion(
             "map_hypotheses_with_given_theta",
             with_theta.hypothesis_i and with_theta.hypothesis_ii and with_theta.hypothesis_iii,
             str(with_theta.failures),
         ),
-        _assertion("theta_search_succeeds", searched.hypothesis_iii),
-        _assertion("plan_is_extremal", cert.is_extremal),
-        _assertion(
+        assertion("theta_search_succeeds", searched.hypothesis_iii),
+        assertion("plan_is_extremal", cert.is_extremal),
+        assertion(
             "optimal_value_zero",
             abs(result.primal_value) <= 1e-9,
             f"value={result.primal_value!r}",
@@ -337,8 +335,8 @@ def run_expcos_signature(samples: int = 20, seed: int = 7) -> dict:
         if not report.negative_definite:
             product_ok = False
     assertions = [
-        _assertion("signature_4_2_0_at_all_samples", sig_ok),
-        _assertion("product_is_minus_exp_identity", product_ok),
+        assertion("signature_4_2_0_at_all_samples", sig_ok),
+        assertion("product_is_minus_exp_identity", product_ok),
     ]
     return {
         "assertions": assertions,
@@ -361,10 +359,10 @@ def run_symmetric_witness() -> dict:
     cost_dev = abs(witness.transport_cost(model) - plan.transport_cost(model))
     tv = plan.tv_distance(witness)
     assertions = [
-        _assertion("cell_masses_7_36_and_5_36", masses_ok),
-        _assertion("marginals_preserved", marg_dev <= 1e-12, f"dev={marg_dev:.3e}"),
-        _assertion("cost_preserved", cost_dev <= 1e-12, f"dev={cost_dev:.3e}"),
-        _assertion("tv_distance_at_least_1_18", tv >= 1.0 / 18.0 - 1e-12, f"tv={tv!r}"),
+        assertion("cell_masses_7_36_and_5_36", masses_ok),
+        assertion("marginals_preserved", marg_dev <= 1e-12, f"dev={marg_dev:.3e}"),
+        assertion("cost_preserved", cost_dev <= 1e-12, f"dev={cost_dev:.3e}"),
+        assertion("tv_distance_at_least_1_18", tv >= 1.0 / 18.0 - 1e-12, f"tv={tv!r}"),
     ]
     return {
         "assertions": assertions,
@@ -376,69 +374,48 @@ def run_symmetric_witness() -> dict:
 # Registry
 # ---------------------------------------------------------------------------
 
+#: name -> (description, runner); the runner's keyword defaults are the params
 _REGISTRY = {
     "coulomb-equal": (
-        ExperimentSpec(
-            "coulomb-equal",
-            "Equal uniform marginals, pairwise-repulsion cost: two graphs",
-            {"grid_size": 15},
-        ),
+        "Equal uniform marginals, pairwise-repulsion cost: two graphs",
         run_coulomb_equal,
     ),
     "coulomb-unequal": (
-        ExperimentSpec(
-            "coulomb-unequal",
-            "Sloped, jittered marginals: gradient multiplicity at most 4",
-            {"grid_size": 8, "seed": 0},
-        ),
+        "Sloped, jittered marginals: gradient multiplicity at most 4",
         run_coulomb_unequal,
     ),
     "coulomb-sharpness-search": (
-        ExperimentSpec(
-            "coulomb-sharpness-search",
-            "Random marginals, record the largest observed graph count",
-            {"grid_size": 7, "trials": 5, "seed": 0},
-        ),
+        "Random marginals, record the largest observed graph count",
         run_coulomb_sharpness_search,
     ),
     "xyz-unique": (
-        ExperimentSpec(
-            "xyz-unique",
-            "Product cost on the signed symmetric grid: unique two-graph plan",
-            {"m_half": 10},
-        ),
+        "Product cost on the signed symmetric grid: unique two-graph plan",
         run_xyz_unique,
     ),
     "twowell-extremal": (
-        ExperimentSpec(
-            "twowell-extremal",
-            "Two-well cost: zero-cost graphs, map hypotheses, extremality",
-            {"steps": 20},
-        ),
+        "Two-well cost: zero-cost graphs, map hypotheses, extremality",
         run_twowell_extremal,
     ),
     "expcos-signature": (
-        ExperimentSpec(
-            "expcos-signature",
-            "Exponential-cosine cost: signature (4,2,0) and product test",
-            {"samples": 20, "seed": 7},
-        ),
+        "Exponential-cosine cost: signature (4,2,0) and product test",
         run_expcos_signature,
     ),
     "symmetric-witness": (
-        ExperimentSpec(
-            "symmetric-witness",
-            "Six-cell symmetric plan: second optimizer with masses 7/36, 5/36",
-            {},
-        ),
+        "Six-cell symmetric plan: second optimizer with masses 7/36, 5/36",
         run_symmetric_witness,
     ),
 }
 
 
+def _spec(name: str) -> ExperimentSpec:
+    description, runner = _REGISTRY[name]
+    params = {k: p.default for k, p in inspect.signature(runner).parameters.items()}
+    return ExperimentSpec(name, description, params)
+
+
 def experiment_registry() -> list[ExperimentSpec]:
     """All registered experiment specs, in registration order."""
-    return [spec for spec, _ in _REGISTRY.values()]
+    return [_spec(name) for name in _REGISTRY]
 
 
 def run_experiment(name: str, **overrides) -> dict:
@@ -447,10 +424,9 @@ def run_experiment(name: str, **overrides) -> dict:
         raise KeyError(
             f"unknown experiment {name!r}; registered: {sorted(_REGISTRY)}"
         )
-    spec, runner = _REGISTRY[name]
-    params = dict(spec.params)
-    params.update({k: v for k, v in overrides.items() if v is not None})
-    report = runner(**params)
+    spec = _spec(name)
+    params = {**spec.params, **{k: v for k, v in overrides.items() if v is not None}}
+    report = _REGISTRY[name][1](**params)
     report["name"] = name
-    report["spec"] = ExperimentSpec(spec.name, spec.description, params).to_dict()
+    report["spec"] = replace(spec, params=params).to_dict()
     return report

@@ -11,7 +11,6 @@ non-uniqueness witness constructor.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,11 +65,9 @@ def _vertex_certificate(cells, row_key_fns) -> ExtremalityCertificate:
     )
 
 
-def is_vertex(plan: Coupling, space: ProductSpace | None = None) -> ExtremalityCertificate:
+def is_vertex(plan: Coupling) -> ExtremalityCertificate:
     """Decide extremality of a coupling in the polytope of its marginals."""
-    space = space or plan.space
-    n = space.n
-    fns = [lambda cell, a=a: (a, cell[a]) for a in range(n)]
+    fns = [lambda cell, a=a: (a, cell[a]) for a in range(plan.space.n)]
     return _vertex_certificate(plan.support(), fns)
 
 

@@ -278,17 +278,23 @@ def solve_exact(model: CostModel, space: ProductSpace, tol_dual: float = TOL_DUA
     padded = np.append(y, 0.0)  # a dropped row's potential is 0
     duals = DualPotentials([padded[rows] for rows in lp.axis_rows])
 
-    primal = math.fsum(
-        float(x) * lp.costs[v] for v, x in zip(basis, x_b) if x > 1e-14
-    )
-    dual = math.fsum(
-        math.fsum(u * w for u, w in zip(pot, ax.weights))
-        for pot, ax in zip(duals.values, space.axes)
-    )
+    primal = plan.transport_cost(model)
+    dual = _dual_value(duals, space)
     iterations = _MAX_ITER - budget[0]
 
     _check_result(model, space, plan, duals, primal, dual, tol_dual)
     return SolveResult(plan, duals, primal, dual, iterations)
+
+
+def _dual_value(duals: DualPotentials, space: ProductSpace) -> float:
+    """sum_i sum_x u_i(x) mu_i(x) over the positive-weight points, each sum an fsum.
+
+    Zero-weight points are skipped, so a -inf potential there adds nothing.
+    """
+    return math.fsum(
+        math.fsum(u * w for u, w in zip(pot.tolist(), ax.weights.tolist()) if w > 0)
+        for pot, ax in zip(duals.values, space.axes)
+    )
 
 
 def _check_result(model, space, plan, duals, primal, dual, tol_dual):
@@ -376,10 +382,4 @@ def duality_gap(
         raise InvalidCertificateError(
             f"splitting inequality violated by {np.max(defect):.3e}"
         )
-    primal = plan.transport_cost(model)
-    dual = 0.0
-    for u, ax in zip(duals.values, space.axes):
-        for val, w in zip(u, ax.weights):
-            if w > 0:
-                dual += val * w
-    return primal - dual
+    return plan.transport_cost(model) - _dual_value(duals, space)

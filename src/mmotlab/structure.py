@@ -2,7 +2,7 @@
 
 Splitting-set extraction, pairwise monotonicity checking, decomposition of
 a plan into weighted graphs over the first axis, gradient-cluster twist
-counting, order regions, and support comparison.
+counting, and order regions.
 """
 
 from __future__ import annotations
@@ -205,18 +205,14 @@ class GraphDecomposition:
         return Coupling(entries, self.space)
 
 
-def decompose_graphs(
-    plan: Coupling,
-    space: ProductSpace | None = None,
-    tol_mass: float = SUPPORT_TOL,
-) -> GraphDecomposition:
+def decompose_graphs(plan: Coupling, tol_mass: float = SUPPORT_TOL) -> GraphDecomposition:
     """Split a plan into weighted single-valued graphs over the first axis.
 
     Branches at each first-axis point are ordered lexicographically by
     target coordinates; graph label j goes to the j-th branch.  The number
     of graphs k is the largest branch count over first-axis points.
     """
-    space = space or plan.space
+    space = plan.space
     mu1 = space.axes[0].weights
     fibres: dict[int, list] = {}
     for idx, m in plan.entries.items():
@@ -367,7 +363,7 @@ def _linked_groups(grads, tol_grad: float) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Order regions and support comparison
+# Order regions
 # ---------------------------------------------------------------------------
 
 def region_of(point) -> tuple[int, ...]:
@@ -382,21 +378,3 @@ def region_of(point) -> tuple[int, ...]:
         raise UndefinedRegionError(f"coincident coordinates in {coords}")
     return tuple(int(i) for i in np.argsort(coords))
 
-
-def support_subset(
-    plan_a: Coupling,
-    plan_b: Coupling,
-    tol_mass: float = SUPPORT_TOL,
-):
-    """Whether every above-threshold cell of ``plan_a`` lies in ``plan_b``.
-
-    Returns ``(flag, witness)`` where the witness is a counterexample cell
-    (or None).
-    """
-    if plan_a.space.shape != plan_b.space.shape:
-        raise ValueError("plans live on different product grids")
-    b_support = set(plan_b.entries)
-    for idx in plan_a.support(tol_mass):
-        if idx not in b_support:
-            return False, idx
-    return True, None

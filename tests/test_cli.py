@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from mmotlab import BUILTIN_COSTS, Coupling, DiscreteMarginal, ProductSpace
 from mmotlab.cli import build_parser, main
-from mmotlab.experiments import ExperimentSpec, experiment_registry
+from mmotlab.experiments import experiment_registry
 from mmotlab.io import dump_coupling, dump_marginal
 
 
@@ -65,10 +66,7 @@ class TestExitCodes:
         assert main([*args, "--out", str(tmp_path / "e.json")]) == 0
 
     def test_flags_registered_only_where_read(self):
-        subcommands = next(
-            action.choices for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
+        subcommands = _subcommands()
         tols = {
             "solve": {"--tol-dual"},
             "decompose": {"--tol-support"},
@@ -122,6 +120,81 @@ class TestExitCodes:
             ]
         )
         assert code == 2
+
+
+    def test_nan_weight_marginal_is_a_usage_error(self, triple_files, tmp_path, capsys):
+        paths, _ = triple_files
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(
+            {"d": 1, "points": [[0.0], [1.0], [2.0]], "weights": [0.5, float("nan"), 0.5]}
+        ))
+        assert main(["solve", *_marg_args([str(bad), *paths[1:]]), "--cost", "coulomb1d"]) == 1
+        assert "weights must be finite" in capsys.readouterr().err
+
+
+def _subcommands():
+    return next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+
+
+class TestSpec:
+    """A report's ``spec`` holds every flag its command reads."""
+
+    @pytest.fixture
+    def inputs(self, triple_files, tmp_path):
+        paths, space = triple_files
+        plan = Coupling({p: 1 / 6 for p in itertools.permutations((0, 1, 2))}, space)
+        cpath = tmp_path / "plan.json"
+        dump_coupling(plan, cpath)
+        mpath = tmp_path / "maps.json"
+        ident = {str(i): i for i in range(3)}
+        mpath.write_text(json.dumps({"maps": [{"H": ident, "K": ident}]}))
+        marg = _marg_args(paths)
+        coupling = ["--coupling", str(cpath)]
+        return {
+            "solve": [*marg, "--cost", "coulomb1d"],
+            "decompose": [*marg, *coupling],
+            "check-monotone": [*marg, "--cost", "coulomb1d", *coupling],
+            "check-splitting": [*marg, "--cost", "coulomb1d"],
+            "twist-count": [*marg, "--cost", "coulomb1d"],
+            "signature": ["--cost", "expcos", "--samples", "1"],
+            "criterion3": ["--cost", "expcos", "--samples", "1"],
+            "extremal": [*marg, *coupling],
+            "thm41": [*marg, "--maps", str(mpath)],
+            "witness": [*marg, *coupling, "--s1", "0", "--s2", "1", "--s3", "2"],
+        }
+
+    def _spec(self, tmp_path, argv):
+        out = tmp_path / "spec.json"
+        assert main([*argv, "--out", str(out)]) in (0, 2)
+        return json.loads(out.read_text())["spec"]
+
+    def test_spec_keys_are_the_registered_flags(self, inputs, tmp_path):
+        output_only = {"--help", "--out", "--format", "--seed"}
+        for name, sub in _subcommands().items():
+            if name == "repro":  # reports the experiment's own spec
+                continue
+            flags = {opt for action in sub._actions for opt in action.option_strings
+                     if opt.startswith("--") and opt not in output_only}
+            expected = {f[2:].replace("-", "_") for f in flags} - {"marginal"}
+            if "--marginal" in flags:
+                expected.add("marginals")
+            assert set(self._spec(tmp_path, [name, *inputs[name]])) == expected, name
+
+    def test_twist_count_records_tol_dual(self, inputs, tmp_path):
+        specs = [
+            self._spec(tmp_path, ["twist-count", *inputs["twist-count"], "--tol-dual", tol])
+            for tol in ("1e-9", "1e-3")
+        ]
+        assert specs[0] != specs[1]
+        assert [s["tol_dual"] for s in specs] == [1e-9, 1e-3]
+
+    @pytest.mark.parametrize("command", ["check-monotone", "check-splitting"])
+    def test_check_commands_record_tol_support(self, inputs, tmp_path, command):
+        argv = [command, *inputs[command], "--tol-support", "1e-7"]
+        assert self._spec(tmp_path, argv)["tol_support"] == 1e-7
 
 
 class TestReports:
@@ -258,8 +331,8 @@ class TestRegistry:
 
     def test_specs_round_trip_through_json(self):
         for spec in experiment_registry():
-            data = json.loads(json.dumps(spec.to_dict()))
-            assert ExperimentSpec.from_dict(data) == spec
+            data = spec.to_dict()
+            assert json.loads(json.dumps(data)) == data
 
     def test_repro_runs_clean(self, tmp_path):
         code = main(

@@ -74,6 +74,16 @@ class TestDiscreteMarginal:
         with pytest.raises(ValueError, match="distinct"):
             DiscreteMarginal([0.0, 0.0], [0.5, 0.5])
 
+    def test_nan_weight_rejected(self):
+        # NaN slips past both the sign and the sum checks
+        with pytest.raises(ValueError, match="weights must be finite"):
+            DiscreteMarginal([0.0, 1.0, 2.0], [0.5, math.nan, 0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_point_rejected(self, bad):
+        with pytest.raises(ValueError, match="points must be finite"):
+            DiscreteMarginal([0.0, bad], [0.5, 0.5])
+
     def test_immutable(self):
         m = DiscreteMarginal([0.0, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError):
@@ -123,6 +133,10 @@ class TestCoupling:
         with pytest.raises(ValueError, match="nonpositive"):
             Coupling({(0, 0): 0.0, (1, 1): 1.0}, self.space)
 
+    def test_nan_mass_rejected(self):
+        with pytest.raises(ValueError, match="non-finite mass nan"):
+            Coupling({(0, 0): 0.5, (1, 1): math.nan}, self.space)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             Coupling({(0, 5): 1.0}, self.space)
@@ -164,12 +178,6 @@ class TestCoupling:
         b = Coupling({(1, 0): 1.0}, self.space)
         assert a.tv_distance(b) == pytest.approx(1.0)
         assert a.tv_distance(a) == 0.0
-
-    def test_project(self):
-        plan = Coupling({(0, 1): 0.25, (0, 0): 0.25, (1, 1): 0.5}, self.space)
-        proj = plan.project([0])
-        assert proj[(0,)] == pytest.approx(0.5)
-        assert proj[(1,)] == pytest.approx(0.5)
 
 
 class TestDualPotentials:

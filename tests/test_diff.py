@@ -14,7 +14,6 @@ from mmotlab import (
     Tabulated,
     TwoWell,
     UserHook,
-    grad_x1,
     hessian_offdiag,
     signature,
     three_marginal_criterion,
@@ -51,12 +50,6 @@ class TestGradients:
                 scale = 1.0 + np.max(np.abs(analytic))
                 assert np.max(np.abs(analytic - numeric)) <= 1e-6 * scale
 
-    def test_grad_x1_is_axis_zero(self):
-        point = ([0.0], [1.0], [2.0])
-        g = grad_x1(Coulomb1D(), point)
-        # -sum of -(x1-xj)/|x1-xj|^3 = 1 + 1/4
-        assert g[0] == pytest.approx(1.25)
-
     def test_fd_fallback_for_userhook(self):
         model = UserHook(lambda xs: (xs[0][0] - xs[1][0]) ** 2, n=2)
         g = grad(model, ([0.3], [0.1]), 0)
@@ -64,7 +57,7 @@ class TestGradients:
 
     def test_coulomb_coincidence_rejected(self):
         with pytest.raises(NondifferentiableCostError):
-            grad_x1(Coulomb1D(), ([0.0], [0.0], [1.0]))
+            grad(Coulomb1D(), ([0.0], [0.0], [1.0]), 0)
 
     def test_coulomb_near_coincidence_fd_guard(self):
         model = UserHook(lambda xs: 0.0, n=3)  # force the FD path

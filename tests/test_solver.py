@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -233,6 +234,36 @@ class TestDualityGap:
         duals = DualPotentials([np.full(3, 10.0)] * 3)
         with pytest.raises(InvalidCertificateError):
             duality_gap(Coulomb1D(), self.result.plan, duals)
+
+
+def _soft_coulomb(xs):
+    return sum(1.0 / (abs(a[0] - b[0]) + 0.1) for a, b in itertools.combinations(xs, 2))
+
+
+def _hook_space(n, size, seed):
+    rng = np.random.default_rng(seed)
+    axes = []
+    for _ in range(n):
+        w = rng.uniform(0.5, 1.5, size)
+        axes.append(DiscreteMarginal(np.sort(rng.uniform(0.0, 1.0, size)), w / w.sum()))
+    return ProductSpace(axes)
+
+
+@pytest.mark.parametrize("model, space", [
+    (Coulomb1D(), coulomb_perturbed_space(8, seed=8)),
+    (TwoWell(), twowell_space(12)),
+    (UserHook(_soft_coulomb, 4), _hook_space(4, 5, seed=5)),
+    (Coulomb1D(), ProductSpace([
+        DiscreteMarginal([0.0, 0.4, 1.0, 2.0], [0.3, 0.0, 0.4, 0.3]),
+        DiscreteMarginal([0.0, 1.0, 2.0, 2.5], [0.25, 0.25, 0.0, 0.5]),
+        DiscreteMarginal([0.0, 0.5, 1.0, 2.0], [0.2, 0.3, 0.2, 0.3]),
+    ])),
+], ids=["coulomb8", "twowell12", "hook-n4", "zero-weight-points"])
+def test_certificate_values_have_one_definition(model, space):
+    """``duality_gap`` and ``solve_exact`` agree on the primal and dual values bit for bit."""
+    r = solve_exact(model, space)
+    assert r.plan.transport_cost(model) == r.primal_value
+    assert duality_gap(model, r.plan, r.duals) == r.primal_value - r.dual_value
 
 
 class TestThreeMarginalSmall:

@@ -23,7 +23,6 @@ from mmotlab import (
     region_of,
     solve_exact,
     splitting_support,
-    support_subset,
     twist_multiplicity,
 )
 from mmotlab import diff, structure
@@ -70,7 +69,7 @@ def _reference_twist_clusters(model, cells, space, tol_grad=GRAD_TOL):
     by_x1 = {}
     for cell in sorted(tuple(c) for c in cells):
         try:
-            g = diff.grad_x1(model, space.point(cell))
+            g = diff.grad(model, space.point(cell), 0)
         except NondifferentiableCostError:
             continue
         by_x1.setdefault(cell[0], []).append((cell, g))
@@ -494,35 +493,3 @@ class TestRegionOf:
         with pytest.raises(ValueError, match="d = 1"):
             region_of(([0.0, 0.0], [1.0, 1.0]))
 
-
-class TestSupportSubset:
-    def setup_method(self):
-        m = _uniform([0.0, 1.0])
-        self.space = ProductSpace([m, m])
-
-    def test_plan_vs_itself(self):
-        plan = Coupling({(0, 1): 0.5, (1, 0): 0.5}, self.space)
-        flag, witness = support_subset(plan, plan)
-        assert flag and witness is None
-
-    def test_single_cell_inside_product(self):
-        delta = Coupling({(0, 0): 1.0}, self.space)
-        product = Coupling(
-            {(i, j): 0.25 for i in range(2) for j in range(2)}, self.space
-        )
-        flag, witness = support_subset(delta, product)
-        assert flag and witness is None
-
-    def test_witness_on_failure(self):
-        a = Coupling({(0, 1): 0.5, (1, 0): 0.5}, self.space)
-        b = Coupling({(0, 0): 0.5, (1, 1): 0.5}, self.space)
-        flag, witness = support_subset(a, b)
-        assert not flag and witness == (0, 1)
-
-    def test_shape_mismatch_rejected(self):
-        m3 = _uniform([0.0, 1.0, 2.0])
-        other = ProductSpace([m3, m3])
-        a = Coupling({(0, 1): 0.5, (1, 0): 0.5}, self.space)
-        b = Coupling({(0, 1): 1.0}, other)
-        with pytest.raises(ValueError, match="different product grids"):
-            support_subset(a, b)
