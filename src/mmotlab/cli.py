@@ -260,10 +260,13 @@ def _cmd_thm41(args):
     space = _load_space(args.marginals)
     with open(args.maps) as fh:
         data = json.load(fh)
-    maps = [
-        ({int(k): v for k, v in m["H"].items()}, {int(k): v for k, v in m["K"].items()})
-        for m in data["maps"]
-    ]
+    try:
+        maps = [
+            ({int(k): v for k, v in m["H"].items()}, {int(k): v for k, v in m["K"].items()})
+            for m in data["maps"]
+        ]
+    except KeyError as exc:
+        raise ValueError(f"{args.maps}: maps file has no {exc} key") from None
     theta = {int(k): v for k, v in data["theta"].items()} if "theta" in data else None
     report = extremal.check_thm41(space, maps, theta=theta)
     payload = {
@@ -301,9 +304,12 @@ def _cmd_repro(args):
         names = ", ".join(sorted(specs))
         raise ValueError(f"unknown experiment {args.name!r}; registered: {names}")
     overrides = {"grid_size": args.grid_size, "seed": args.seed}
-    report = experiments.run_experiment(
-        args.name, **{k: v for k, v in overrides.items() if k in spec.params}
-    )
+    ignored = [k for k, v in overrides.items() if v is not None and k not in spec.params]
+    if ignored:
+        flags = ", ".join("--" + k.replace("_", "-") for k in ignored)
+        raise ValueError(f"experiment {args.name!r} takes no {flags} "
+                         f"(its parameters: {', '.join(spec.params) or 'none'})")
+    report = experiments.run_experiment(args.name, **overrides)
     return {
         "command": f"repro {args.name}",
         "spec": report["spec"],

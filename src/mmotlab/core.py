@@ -366,10 +366,15 @@ class Coulomb1D(CostModel):
 
     def values(self, xs):
         s = _sorted_coords(xs)
-        total = 0.0
+        shape = np.broadcast_shapes(*(np.shape(v) for v in s))
+        total = np.zeros(shape)
+        term = np.empty(shape)  # each pair term is formed in this one buffer
         with np.errstate(divide="ignore"):
             for a, b in itertools.combinations(range(len(s)), 2):
-                total = total + 1.0 / np.abs(s[b] - s[a])
+                np.subtract(s[b], s[a], out=term)
+                np.abs(term, out=term)
+                np.divide(1.0, term, out=term)
+                total += term
         return total
 
     def grad(self, i, xs):

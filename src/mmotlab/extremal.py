@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     Coupling,
@@ -52,12 +51,14 @@ def _vertex_certificate(cells, row_key_fns) -> ExtremalityCertificate:
     for j, cell in enumerate(cells):
         for fn in row_key_fns:
             A[row_of[fn(cell)], j] += 1.0
-    sv = scipy.linalg.svdvals(A)
+    sv = np.linalg.svd(A, compute_uv=False)
     rank = int(np.count_nonzero(sv > RANK_TOL * max(sv[0], 1.0)))
     if rank == len(cells):
         return ExtremalityCertificate(True, None)
-    kernel = scipy.linalg.null_space(A, rcond=RANK_TOL)
-    direction = kernel[:, 0]
+    # kernel basis: the right singular vectors past the numerical rank,
+    # counted relative to the largest singular value
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    direction = vh[int(np.count_nonzero(s > s.max() * RANK_TOL))]
     direction = direction / np.max(np.abs(direction))
     return ExtremalityCertificate(
         False,

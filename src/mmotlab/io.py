@@ -25,6 +25,9 @@ def marginal_to_dict(marginal: DiscreteMarginal) -> dict:
 
 
 def marginal_from_dict(data: dict) -> DiscreteMarginal:
+    for key in ("d", "points", "weights"):
+        if key not in data:
+            raise ValueError(f"marginal has no {key!r} key")
     points = data["points"]
     if any(len(pt) != data["d"] for pt in points):
         raise ValueError("point dimension disagrees with the declared d")
@@ -52,7 +55,11 @@ def dump_marginal(marginal: DiscreteMarginal, path) -> None:
 
 def load_marginal(path) -> DiscreteMarginal:
     with open(path) as fh:
-        return marginal_from_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return marginal_from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def dump_coupling(plan: Coupling, path) -> None:

@@ -1,20 +1,23 @@
 """Exact solution of the discrete multi-marginal Kantorovich LP.
 
 The LP is solved by a two-phase revised primal simplex.  Entering column:
-most negative reduced cost, falling back to Bland's lowest-index rule during
-degenerate stalls so cycling is impossible; leaving row: minimum ratio, ties
-broken by lowest basic column index.  One constraint row per
-axis point, with the single redundant row (last point of the last axis)
-dropped; +inf cells are removed before the matrix is built.  The method
-returns a vertex plan together with optimal dual potentials.
+most negative reduced cost, ties within a relative 1e-12 going to the lowest
+column index, falling back to Bland's lowest-index rule during degenerate
+stalls so cycling is impossible; leaving row: minimum ratio, ties broken by
+lowest basic column index.  One constraint row per axis point, with the
+single redundant row (last point of the last axis) dropped; +inf cells are
+removed before the matrix is built.  The method returns a vertex plan
+together with optimal dual potentials.
 
 The constraint matrix is never formed: one integer table holds the row of
 every finite cell on every axis, and columns, pricing sums and the basis
-matrix are gathered from it.  Each phase builds the dense m x m basis
-matrix once and then overwrites the leaving column on every pivot.  The
-basis is LU-factored afresh (LAPACK ``getrf``) on every pivot, with no
-update formulas, so the basic values, duals and directions, and hence the
-pivot sequence, are those of a from-scratch factorization.
+matrix are gathered from it.  The simplex keeps the explicit basis inverse.
+Each pivot replaces the leaving row by a rank-one update, and every
+``_REFACTOR`` pivots the inverse is computed afresh from the basis matrix.
+At optimality the inverse is recomputed and the basis re-priced, so the
+returned basic values and duals carry no update drift.  The entering tie
+tolerance keeps the pivot path a property of the LP rather than of the last
+bits of that arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .core import (
     CostModel,
@@ -43,6 +45,8 @@ TOL_DUAL = 1e-9
 _TOL_PIVOT = 1e-10
 _MAX_ITER = 500_000
 _BLAND_STREAK = 30
+#: pivots between fresh basis inverses; the pivots in between update it
+_REFACTOR = 64
 
 
 @dataclass(frozen=True)
@@ -123,35 +127,22 @@ class _Lp:
 
 
 def _basis_matrix(lp: _Lp, basis: list[int]) -> np.ndarray:
-    """Dense basis matrix in LAPACK's column-major order.
-
-    Basis entries ``>= ncells`` are artificial unit columns.
-    """
+    """Dense basis matrix; entries ``>= ncells`` are artificial unit columns."""
     basis = np.asarray(basis)
     structural = basis < len(lp.cells)
     k = np.arange(lp.m)
     B = np.zeros((lp.m + 1, lp.m))  # the last row absorbs dropped rows
     B[lp.cell_rows[:, basis[structural]], k[structural]] = 1.0
     B[basis[~structural] - len(lp.cells), k[~structural]] = 1.0
-    return np.asfortranarray(B[:-1])
+    return B[:-1]
 
 
-def _factor(B: np.ndarray):
-    """LU factors of the basis matrix; a singular basis is an internal fault."""
-    lu, piv, info = dgetrf(B)
-    if info != 0:
-        raise InternalConsistencyError(
-            f"singular basis matrix (LAPACK getrf info {info})"
-        )
-    return lu, piv
-
-
-def _solve(lu, b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """Solve ``B x = b`` (``trans=1``: ``B^T x = b``) from ``_factor``'s output."""
-    x, info = dgetrs(lu[0], lu[1], b, trans=trans)
-    if info != 0:
-        raise InternalConsistencyError(f"LAPACK getrs info {info}")
-    return x
+def _inverse(B: np.ndarray) -> np.ndarray:
+    """Inverse of the basis matrix; a singular basis is an internal fault."""
+    try:
+        return np.linalg.inv(B)
+    except np.linalg.LinAlgError as exc:
+        raise InternalConsistencyError(f"singular basis matrix ({exc})") from None
 
 
 def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray, art_cost: float,
@@ -159,9 +150,11 @@ def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray, art_cost: float,
     """Pivot to optimality; returns the final basic values and row duals.
 
     ``basis`` is updated in place.  Entering column: most negative reduced
-    cost, with Bland's lowest index after ``_BLAND_STREAK`` degenerate
-    pivots in a row; leaving row: minimum ratio, ties to the lowest basic
-    column index.
+    cost, the lowest index among those within ``1e-12 * (1 + |min|)`` of
+    it, with Bland's lowest index after ``_BLAND_STREAK`` degenerate pivots
+    in a row; leaving row: minimum ratio, ties to the lowest basic column
+    index.  The basis inverse gets a rank-one update per pivot and is
+    recomputed every ``_REFACTOR`` pivots and before optimality is accepted.
     """
     ncells = len(lp.cells)
     in_basis = np.zeros(ncells, dtype=bool)
@@ -169,6 +162,8 @@ def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray, art_cost: float,
         if v < ncells:
             in_basis[v] = True
     B = _basis_matrix(lp, basis)
+    B_inv = _inverse(B)
+    updates = 0
     c_b = np.array([costs[v] if v < ncells else art_cost for v in basis])
 
     # Entering rule: steepest (most negative reduced cost) while progress is
@@ -179,19 +174,23 @@ def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray, art_cost: float,
     while True:
         if iteration_budget[0] <= 0:
             raise InternalConsistencyError("simplex iteration budget exhausted")
-        lu = _factor(B)
-        x_b = _solve(lu, lp.b)
-        y = _solve(lu, c_b, trans=1)
+        x_b = B_inv @ lp.b
+        y = c_b @ B_inv
         rc = costs - lp.axis_sums(y)
         candidates = np.flatnonzero((rc < -_TOL_PIVOT) & ~in_basis)
         if candidates.size == 0:
-            return x_b, y
+            if updates == 0:
+                return x_b, y
+            B_inv, updates = _inverse(B), 0  # re-price without update drift
+            continue
         if degenerate_streak < _BLAND_STREAK:
-            e = int(candidates[np.argmin(rc[candidates])])
+            rc_c = rc[candidates]
+            low = rc_c.min()
+            e = int(candidates[np.argmax(rc_c <= low + 1e-12 * (1.0 + abs(low)))])
         else:
             e = int(candidates[0])  # Bland: lowest index
         col = lp.column(e)
-        d = _solve(lu, col)
+        d = B_inv @ col
         pos = np.flatnonzero(d > _TOL_PIVOT)
         if pos.size == 0:
             raise InternalConsistencyError(
@@ -207,6 +206,13 @@ def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray, art_cost: float,
         in_basis[e] = True
         B[:, leave] = col
         c_b[leave] = costs[e]
+        if updates + 1 >= _REFACTOR:
+            B_inv, updates = _inverse(B), 0
+        else:
+            pivot_row = B_inv[leave] / d[leave]
+            B_inv -= np.outer(d, pivot_row)
+            B_inv[leave] = pivot_row
+            updates += 1
         degenerate_streak = 0 if t > _TOL_PIVOT else degenerate_streak + 1
         iteration_budget[0] -= 1
 
@@ -242,13 +248,11 @@ def solve_exact(model: CostModel, space: ProductSpace, tol_dual: float = TOL_DUA
     redundant: set[int] = set()
     basic_structural = {v for v in basis if v < ncells}
     B = _basis_matrix(lp, basis)
-    lu = _factor(B)
+    B_inv = _inverse(B)
     for r in range(lp.m):
         if basis[r] < ncells:
             continue
-        e_r = np.zeros(lp.m)
-        e_r[r] = 1.0
-        w = _solve(lu, e_r, trans=1)
+        w = B_inv[r]  # solves B^T w = e_r
         coef = lp.axis_sums(w)
         coef[list(basic_structural)] = 0.0
         options = np.flatnonzero(np.abs(coef) > 1e-8)
@@ -259,7 +263,7 @@ def solve_exact(model: CostModel, space: ProductSpace, tol_dual: float = TOL_DUA
         basis[r] = j
         basic_structural.add(j)
         B[:, r] = lp.column(j)
-        lu = _factor(B)
+        B_inv = _inverse(B)
     if redundant:
         basis = [v for r, v in enumerate(basis) if r not in redundant]
         lp.drop_rows(redundant)

@@ -1,10 +1,15 @@
 import argparse
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmotlab
 from mmotlab import BUILTIN_COSTS, Coupling, DiscreteMarginal, ProductSpace
 from mmotlab.cli import build_parser, main
 from mmotlab.experiments import experiment_registry
@@ -130,6 +135,42 @@ class TestExitCodes:
         ))
         assert main(["solve", *_marg_args([str(bad), *paths[1:]]), "--cost", "coulomb1d"]) == 1
         assert "weights must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, flag", [
+        ("twowell-extremal", "--grid-size"),
+        ("coulomb-equal", "--seed"),
+        ("symmetric-witness", "--seed"),
+    ])
+    def test_repro_flag_the_experiment_lacks(self, name, flag, capsys):
+        assert main(["repro", name, flag, "6"]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and name in err
+
+    def test_marginal_file_missing_a_key(self, triple_files, tmp_path, capsys):
+        paths, _ = triple_files
+        bad = tmp_path / "no_weights.json"
+        bad.write_text(json.dumps({"d": 1, "points": [[0.0], [1.0], [2.0]]}))
+        assert main(["solve", *_marg_args([str(bad), *paths[1:]]), "--cost", "coulomb1d"]) == 1
+        err = capsys.readouterr().err
+        assert "'weights'" in err and str(bad) in err
+
+    def test_maps_file_missing_a_key(self, triple_files, tmp_path, capsys):
+        paths, _ = triple_files
+        mpath = tmp_path / "maps.json"
+        mpath.write_text(json.dumps({"maps": [{"H": {"0": 0, "1": 1, "2": 2}}]}))
+        assert main(["thm41", *_marg_args(paths), "--maps", str(mpath)]) == 1
+        err = capsys.readouterr().err
+        assert "'K'" in err and str(mpath) in err
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(mmotlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, mmotlab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def _subcommands():

@@ -36,6 +36,18 @@ def test_marginal_dimension_mismatch():
         marginal_from_dict(data)
 
 
+@pytest.mark.parametrize("key", ["d", "points", "weights"])
+def test_marginal_missing_key_is_named(key, tmp_path):
+    data = {"d": 1, "points": [[0.0], [1.0]], "weights": [0.5, 0.5]}
+    del data[key]
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        marginal_from_dict(data)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"m.json: marginal has no '{key}' key"):
+        load_marginal(path)
+
+
 def test_coupling_round_trip_bit_exact():
     space = _space()
     plan = Coupling({(0, 1): 1 / 3, (1, 2): 1 / 3, (2, 0): 1 / 3}, space)

@@ -23,7 +23,7 @@ from mmotlab import (
 from mmotlab import solver
 from mmotlab.core import InternalConsistencyError, eval_cost
 from mmotlab.experiments import coulomb_perturbed_space, twowell_space
-from mmotlab.solver import _basis_matrix, _factor, _Lp
+from mmotlab.solver import _basis_matrix, _inverse, _Lp
 
 from conftest import brute_force_value_n2, random_rational_marginal
 
@@ -293,38 +293,56 @@ class TestPivotPath:
     """
 
     def test_coulomb_perturbed_12(self):
-        # Recorded when Coulomb1D became one broadcast definition that sorts
-        # the coordinates first: the tensor's bits moved on cells whose
-        # coordinates do not ascend along the axes, and with them the path.
+        # Recorded when the simplex moved to an updated basis inverse and the
+        # entering rule took the lowest index among near-ties: the new
+        # arithmetic and tie rule give a different optimal vertex.
         result = solve_exact(Coulomb1D(), coulomb_perturbed_space(12, seed=1))
-        assert result.iterations == 207
+        assert result.iterations == 214
         assert dict(result.plan.entries) == {
-            (0, 5, 9): 0.020953650969268788, (0, 8, 5): 0.03604580856123632,
-            (1, 5, 9): 0.05176709169673734, (1, 6, 10): 0.015386723254683883,
-            (2, 7, 10): 0.024881428869838407, (2, 10, 6): 0.03673961613292732,
-            (3, 7, 10): 0.042666040743319124, (3, 8, 11): 0.026732805782620588,
-            (3, 11, 7): 0.008060532746308115, (4, 11, 8): 0.07296662774662277,
-            (5, 0, 9): 0.013024851917233828, (5, 1, 9): 0.012191202005396307,
-            (5, 8, 11): 0.0002175665877602595, (5, 9, 0): 0.05388980137196498,
-            (6, 1, 9): 0.005469010034104466, (6, 1, 10): 0.0008003894736169706,
-            (6, 2, 10): 0.02123497651435255, (6, 9, 1): 0.042450161148912556,
-            (6, 10, 1): 0.02093342467019256, (7, 3, 11): 0.0408231401327137,
-            (7, 10, 3): 0.04757805492562337, (8, 4, 11): 0.04849849123067072,
-            (8, 5, 0): 0.007270596483989214, (8, 11, 4): 0.03994598110965156,
-            (9, 0, 5): 0.04259456069663561, (9, 1, 6): 0.0475163357201396,
-            (10, 2, 7): 0.04329780485242743, (10, 6, 2): 0.06586108710971686,
-            (10, 7, 3): 0.00037950654170528994, (11, 3, 7): 0.030482746811215787,
-            (11, 4, 8): 0.022655958569947385, (11, 7, 3): 0.018907804710578284,
-            (11, 8, 4): 0.029641525884997105, (11, 8, 5): 0.00813469499289083,
+            (0, 5, 8): 0.04331640504522548, (0, 5, 9): 0.007914499354469084,
+            (0, 9, 5): 0.005768555130810454, (1, 6, 9): 0.037742805417308276,
+            (1, 9, 5): 0.017158661123788853, (1, 9, 6): 0.012252348410324104,
+            (2, 6, 10): 0.00638446754859906, (2, 10, 6): 0.05523657745416668,
+            (3, 7, 10): 0.026186078546398317, (3, 11, 7): 0.04660372763723334,
+            (3, 11, 8): 0.004669573088616125, (4, 8, 11): 0.025330019563894225,
+            (4, 11, 8): 0.047636608182728545, (5, 1, 9): 0.012308148775439079,
+            (5, 8, 11): 0.005854875250962163, (5, 9, 0): 0.06116039785595415,
+            (6, 1, 9): 0.04544035307552426, (6, 10, 2): 0.04544760876565486,
+            (7, 2, 10): 0.012528398605485845, (7, 3, 10): 0.059870614155327656,
+            (7, 3, 11): 0.011435272788601791, (7, 10, 3): 0.004566909508921715,
+            (8, 4, 11): 0.07115444980061811, (8, 5, 11): 0.002497386329688926,
+            (8, 11, 3): 0.022063232694004474, (9, 0, 5): 0.055619412613869455,
+            (9, 1, 5): 0.00822843538229405, (9, 5, 1): 0.026263048420611695,
+            (10, 2, 6): 0.016767025988576045, (10, 2, 7): 0.035237356772717984,
+            (10, 6, 1): 0.03712053739849336, (10, 7, 2): 0.020413478344062014,
+            (11, 7, 3): 0.040235223974980736, (11, 8, 4): 0.06958750699464866,
         }
 
     def test_twowell_20(self):
+        # Recorded from the updated-inverse simplex: every mass is 1/42 up
+        # to the last bits, which differ on two cells.
         result = solve_exact(TwoWell(), twowell_space(20))
-        assert result.iterations == 930
+        assert result.iterations == 929
         expected = {}
         for i in range(21):
             expected[(i, i, i)] = expected[(i, i, i + 10)] = 0.023809523809523808
+        expected[(16, 16, 16)] = 0.02380952380952389
+        expected[(20, 20, 30)] = 0.02380952380952378
         assert dict(result.plan.entries) == expected
+
+    @pytest.mark.parametrize("make", [
+        lambda: (Coulomb1D(), coulomb_perturbed_space(12, seed=1)),
+        lambda: (TwoWell(), twowell_space(20)),
+        lambda: (Coulomb1D(), ProductSpace([_uniform_line([0.0, 0.25, 0.5, 0.75, 1.0])] * 3)),
+    ], ids=["coulomb_perturbed_12", "twowell_20", "coulomb_equal_5"])
+    def test_path_independent_of_refactor_interval(self, monkeypatch, make):
+        # A fresh inverse on every pivot walks the same path as the updates.
+        model, space = make()
+        updated = solve_exact(model, space)
+        monkeypatch.setattr(solver, "_REFACTOR", 1)
+        fresh = solve_exact(model, space)
+        assert fresh.iterations == updated.iterations
+        assert fresh.plan.support() == updated.plan.support()
 
 
 class TestLpTables:
@@ -370,4 +388,4 @@ class TestLpTables:
         lp = self.lp
         basis = [0, 0] + [len(lp.cells) + r for r in range(2, lp.m)]
         with pytest.raises(InternalConsistencyError, match="singular"):
-            _factor(_basis_matrix(lp, basis))
+            _inverse(_basis_matrix(lp, basis))
