@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -163,17 +164,7 @@ def _cmd_check_monotone(args):
     violations = structure.check_c_monotone(
         model, plan.support(args.tol_support), space
     )
-    payload = {
-        "violations": [
-            {
-                "cell_a": list(v.cell_a),
-                "cell_b": list(v.cell_b),
-                "positive_part": list(v.positive_part),
-                "defect": v.defect,
-            }
-            for v in violations
-        ]
-    }
+    payload = {"violations": [asdict(v) for v in violations]}
     check = assertion("no_monotonicity_violations", not violations,
                       f"{len(violations)} violations")
     return {"payload": payload, "assertions": [check]}
@@ -226,18 +217,12 @@ def _cmd_criterion3(args):
     model = make_cost(args.cost)
     rng = np.random.default_rng(args.seed)
     results = []
-    all_negative = True
     for _ in range(args.samples):
-        point = _sample_points(args.cost, rng)
-        report = diff.three_marginal_criterion(model, point)
-        all_negative = all_negative and report.negative_definite
-        results.append(
-            {
-                "product": [[float(v) for v in row] for row in report.product],
-                "negative_definite": report.negative_definite,
-            }
-        )
-    payload = {"samples": results, "all_negative_definite": all_negative}
+        report = diff.three_marginal_criterion(model, _sample_points(args.cost, rng))
+        results.append({"product": report.product.tolist(),
+                        "negative_definite": report.negative_definite})
+    payload = {"samples": results,
+               "all_negative_definite": all(r["negative_definite"] for r in results)}
     return {"payload": payload, "assertions": []}
 
 
@@ -258,16 +243,7 @@ def _cmd_extremal(args):
 
 def _cmd_thm41(args):
     space = _load_space(args.marginals)
-    with open(args.maps) as fh:
-        data = json.load(fh)
-    try:
-        maps = [
-            ({int(k): v for k, v in m["H"].items()}, {int(k): v for k, v in m["K"].items()})
-            for m in data["maps"]
-        ]
-    except KeyError as exc:
-        raise ValueError(f"{args.maps}: maps file has no {exc} key") from None
-    theta = {int(k): v for k, v in data["theta"].items()} if "theta" in data else None
+    maps, theta = io.load_maps(args.maps)
     report = extremal.check_thm41(space, maps, theta=theta)
     payload = {
         "hypothesis_i": report.hypothesis_i,
@@ -398,7 +374,7 @@ def main(argv=None) -> int:
     try:
         report = args.handler(args)
         return _emit(args, report, time.monotonic() - started)
-    except (TransportError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (TransportError, OSError, ValueError, KeyError) as exc:
         print(f"mmotlab: error: {exc}", file=sys.stderr)
         return 1
 

@@ -613,12 +613,36 @@ def _evaluate(model: CostModel, space: ProductSpace, xs) -> np.ndarray:
     return out
 
 
+#: (model, space, grid) of the last build.  It holds the objects, not their
+#: ids, so no new object can take an id whose grid is still kept.
+_last_grid: tuple = (None, None, None)
+
+
 def cost_tensor(model: CostModel, space: ProductSpace) -> np.ndarray:
-    """Dense cost values on the grid; +inf marks excluded cells."""
+    """Dense cost values on the grid, read-only; +inf marks excluded cells.
+
+    The last grid is returned again for the same model and space objects
+    (both are immutable), so a solve and the analyses after it share one
+    build.  At most one grid is held.
+    """
+    global _last_grid
+    last_model, last_space, grid = _last_grid  # one read, safe against a concurrent swap
+    if last_model is model and last_space is space:
+        return grid
+    _last_grid = (None, None, None)  # drop the old grid before building
     n = space.n
     xs = [ax.points.reshape((1,) * a + (-1,) + (1,) * (n - 1 - a) + (space.d,))
           for a, ax in enumerate(space.axes)]
-    return _evaluate(model, space, xs)
+    grid = _evaluate(model, space, xs)
+    grid.setflags(write=False)
+    _last_grid = (model, space, grid)
+    return grid
+
+
+def _splitting_slack(model: CostModel, space: ProductSpace, duals: DualPotentials):
+    """The grid and the slack c - sum_i u_i on it, +inf on every excluded cell."""
+    values = cost_tensor(model, space)
+    return values, values - duals.grid_sum(space.shape)
 
 
 def cost_at(model: CostModel, space: ProductSpace, cells) -> np.ndarray:

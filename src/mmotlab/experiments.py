@@ -167,14 +167,14 @@ def run_coulomb_equal(grid_size: int = 15) -> dict:
 
 
 def _coulomb_twist_report(space: ProductSpace) -> tuple[dict, int, bool]:
-    result = solve_exact(Coulomb1D(), space)
-    split = structure.splitting_support(Coulomb1D(), space, result.duals)
-    twist = structure.twist_multiplicity(Coulomb1D(), split, space)
-    region_unique = True
-    for cluster in twist.clusters:
-        regions = [structure.region_of(space.point(c)) for c in cluster.cells]
-        if len(set(regions)) != len(regions):
-            region_unique = False
+    model = Coulomb1D()  # one instance, so the analyses reuse the solve's grid
+    result = solve_exact(model, space)
+    split = structure.splitting_support(model, space, result.duals)
+    twist = structure.twist_multiplicity(model, split, space)
+    region_unique = all(
+        len({structure.region_of(space.point(c)) for c in cl.cells}) == len(cl.cells)
+        for cl in twist.clusters
+    )
     payload = {
         "optimal_value": result.primal_value,
         "splitting_cells": len(split.cells),
@@ -199,7 +199,6 @@ def run_coulomb_sharpness_search(
 ) -> dict:
     rng = np.random.default_rng(seed)
     pts = np.linspace(0.0, 1.0, grid_size)
-    max_k = 0
     ks = []
     for _ in range(trials):
         axes = []
@@ -208,9 +207,7 @@ def run_coulomb_sharpness_search(
             axes.append(DiscreteMarginal(pts, w / w.sum()))
         space = ProductSpace(axes)
         result = solve_exact(Coulomb1D(), space)
-        k = structure.decompose_graphs(result.plan).k
-        ks.append(k)
-        max_k = max(max_k, k)
+        ks.append(structure.decompose_graphs(result.plan).k)
     # Whether any marginals force k above the twist bound is open; the
     # search only records what it sees.
     assertions = [
@@ -218,7 +215,7 @@ def run_coulomb_sharpness_search(
     ]
     return {
         "assertions": assertions,
-        "payload": {"graph_counts": ks, "max_graph_count": max_k},
+        "payload": {"graph_counts": ks, "max_graph_count": max(ks, default=0)},
     }
 
 
@@ -228,12 +225,10 @@ def run_xyz_unique(m_half: int = 10) -> dict:
     index_of = {round(float(p), 12): i for i, p in enumerate(pts)}
     result = solve_exact(ProductXYZ(), space)
 
-    allowed = set()
-    for i, x in enumerate(pts):
-        g1 = (i, index_of[round(-x, 12)], index_of[round(abs(x), 12)])
-        g2 = (i, index_of[round(x, 12)], index_of[round(-abs(x), 12)])
-        allowed.add(g1)
-        allowed.add(g2)
+    allowed = {cell for i, x in enumerate(pts) for cell in (
+        (i, index_of[round(-x, 12)], index_of[round(abs(x), 12)]),
+        (i, index_of[round(x, 12)], index_of[round(-abs(x), 12)]),
+    )}
     support_ok = all(c in allowed for c in result.plan.support(1e-10))
 
     decomp = structure.decompose_graphs(result.plan)
@@ -319,23 +314,17 @@ def run_expcos_signature(samples: int = 20, seed: int = 7) -> dict:
     rng = np.random.default_rng(seed)
     model = ExpCos()
     signatures = []
-    sig_ok = True
     product_ok = True
     for _ in range(samples):
         coords = rng.uniform(-1.0, 1.0, size=6)
         point = (coords[0:2], coords[2:4], coords[4:6])
         sig = diff.signature(diff.hessian_offdiag(model, point).assembled)
         signatures.append(list(sig.triple))
-        if sig.triple != (4, 2, 0):
-            sig_ok = False
         report = diff.three_marginal_criterion(model, point)
-        expected = -math.exp(2.0 * coords[0]) * np.eye(2)
-        if np.max(np.abs(report.product - expected)) > 1e-8:
-            product_ok = False
-        if not report.negative_definite:
-            product_ok = False
+        error = np.max(np.abs(report.product + math.exp(2.0 * coords[0]) * np.eye(2)))
+        product_ok = product_ok and error <= 1e-8 and report.negative_definite
     assertions = [
-        assertion("signature_4_2_0_at_all_samples", sig_ok),
+        assertion("signature_4_2_0_at_all_samples", all(s == [4, 2, 0] for s in signatures)),
         assertion("product_is_minus_exp_identity", product_ok),
     ]
     return {

@@ -55,10 +55,8 @@ def _vertex_certificate(cells, row_key_fns) -> ExtremalityCertificate:
     rank = int(np.count_nonzero(sv > RANK_TOL * max(sv[0], 1.0)))
     if rank == len(cells):
         return ExtremalityCertificate(True, None)
-    # kernel basis: the right singular vectors past the numerical rank,
-    # counted relative to the largest singular value
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
-    direction = vh[int(np.count_nonzero(s > s.max() * RANK_TOL))]
+    # the right singular vectors past the numerical rank span the kernel
+    direction = np.linalg.svd(A, full_matrices=True)[2][rank]
     direction = direction / np.max(np.abs(direction))
     return ExtremalityCertificate(
         False,

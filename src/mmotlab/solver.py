@@ -36,6 +36,7 @@ from .core import (
     InternalConsistencyError,
     InvalidCertificateError,
     ProductSpace,
+    _splitting_slack,
     cost_at,
     cost_tensor,
 )
@@ -71,16 +72,11 @@ class _Lp:
     def __init__(self, model: CostModel, space: ProductSpace):
         self.space = space
         shape = space.shape
-        values = cost_tensor(model, space)
-        finite = np.argwhere(np.isfinite(values))  # lexicographic order
-        if finite.size == 0:
-            raise InfeasibleTransportError(
-                "every grid cell has infinite cost",
-                excluded_cells=map(tuple, np.argwhere(~np.isfinite(values))),
-            )
-        self.cells = finite  # (ncells, n) int array
-        self.costs = values[tuple(finite.T)]
-        self.excluded = [tuple(idx) for idx in np.argwhere(~np.isfinite(values))]
+        self.values = cost_tensor(model, space)
+        self.cells = np.argwhere(np.isfinite(self.values))  # (ncells, n), lexicographic
+        if self.cells.size == 0:
+            raise self.infeasible("every grid cell has infinite cost")
+        self.costs = self.values[tuple(self.cells.T)]
 
         # Row layout: one row per axis point, minus the single redundant row
         # (the last point of the last axis); any residual rank deficiency on
@@ -105,6 +101,11 @@ class _Lp:
         self.cell_rows = np.stack(
             [rows[self.cells[:, a]] for a, rows in enumerate(self.axis_rows)]
         )
+
+    def infeasible(self, message: str) -> InfeasibleTransportError:
+        """The error to raise, certified by the grid's +inf cells."""
+        excluded = np.argwhere(~np.isfinite(self.values)).tolist()
+        return InfeasibleTransportError(message, excluded_cells=map(tuple, excluded))
 
     def column(self, j: int) -> np.ndarray:
         col = np.zeros(self.m + 1)
@@ -158,9 +159,7 @@ def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray, art_cost: float,
     """
     ncells = len(lp.cells)
     in_basis = np.zeros(ncells, dtype=bool)
-    for v in basis:
-        if v < ncells:
-            in_basis[v] = True
+    in_basis[[v for v in basis if v < ncells]] = True
     B = _basis_matrix(lp, basis)
     B_inv = _inverse(B)
     updates = 0
@@ -233,15 +232,10 @@ def solve_exact(model: CostModel, space: ProductSpace, tol_dual: float = TOL_DUA
     basis = [ncells + r for r in range(lp.m)]
     zeros = np.zeros(ncells)
     x_b, _ = _simplex(lp, basis, zeros, 1.0, budget)
-    infeas = math.fsum(
-        x for v, x in zip(basis, x_b) if v >= ncells and x > 0
-    )
+    infeas = math.fsum(x for v, x in zip(basis, x_b) if v >= ncells and x > 0)
     if infeas > 1e-9:
-        raise InfeasibleTransportError(
-            f"no finite-cost coupling matches the marginals "
-            f"(phase-1 residual {infeas:.3e})",
-            excluded_cells=lp.excluded,
-        )
+        raise lp.infeasible(f"no finite-cost coupling matches the marginals "
+                            f"(phase-1 residual {infeas:.3e})")
 
     # Drive remaining zero-level artificials out of the basis, or drop the
     # rows they certify as redundant.
@@ -273,11 +267,8 @@ def solve_exact(model: CostModel, space: ProductSpace, tol_dual: float = TOL_DUA
     # Phase 2: optimize the true cost; plan and duals come from its last basis.
     x_b, y = _simplex(lp, basis, lp.costs, 0.0, budget)
 
-    entries = {}
-    for v, x in zip(basis, x_b):
-        if x > 1e-14:
-            entries[tuple(int(i) for i in lp.cells[v])] = float(x)
-    plan = Coupling(entries, space)
+    plan = Coupling({tuple(lp.cells[v].tolist()): float(x)
+                     for v, x in zip(basis, x_b) if x > 1e-14}, space)
 
     padded = np.append(y, 0.0)  # a dropped row's potential is 0
     duals = DualPotentials([padded[rows] for rows in lp.axis_rows])
@@ -308,9 +299,7 @@ def _check_result(model, space, plan, duals, primal, dual, tol_dual):
     for a in range(space.n):
         err = np.max(np.abs(plan.marginal(a) - space.axes[a].weights))
         if err > 1e-12:
-            raise InternalConsistencyError(
-                f"axis-{a} marginal off by {err:.3e}"
-            )
+            raise InternalConsistencyError(f"axis-{a} marginal off by {err:.3e}")
     bound = sum(space.shape) - space.n + 1
     if len(plan.entries) > bound:
         raise InternalConsistencyError(
@@ -352,7 +341,7 @@ def c_conjugate_update(
     # The potentials are subtracted from c one at a time, not as one
     # DualPotentials.grid_sum: (c - u_a) - u_b rounds differently from
     # c - (u_a + u_b), and the conjugate keeps the former.
-    values = cost_tensor(model, space).copy()
+    values = cost_tensor(model, space)
     for j, u in enumerate(potentials.values):
         if j == i:
             continue
@@ -378,12 +367,9 @@ def duality_gap(
     splitting inequality on some finite-cost cell.
     """
     space = plan.space
-    values = cost_tensor(model, space)
-    total = duals.grid_sum(space.shape)
-    finite = np.isfinite(values)
-    defect = total[finite] - values[finite]
-    if defect.size and np.max(defect) > tol_dual * (1.0 + np.max(np.abs(values[finite]))):
-        raise InvalidCertificateError(
-            f"splitting inequality violated by {np.max(defect):.3e}"
-        )
+    values, slack = _splitting_slack(model, space, duals)
+    worst = -slack.min()  # max(sum u - c) over the finite cells, bit for bit
+    scale = np.max(np.abs(values), where=np.isfinite(values), initial=0.0)
+    if worst > tol_dual * (1.0 + scale):
+        raise InvalidCertificateError(f"splitting inequality violated by {worst:.3e}")
     return plan.transport_cost(model) - _dual_value(duals, space)

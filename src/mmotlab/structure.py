@@ -23,8 +23,8 @@ from .core import (
     NondifferentiableCostError,
     ProductSpace,
     UndefinedRegionError,
+    _splitting_slack,
     cost_at,
-    cost_tensor,
 )
 
 SUPPORT_TOL = 1e-10
@@ -58,17 +58,13 @@ def splitting_support(
     Raises ``InvalidCertificateError`` if some cell has a negative defect
     beyond tolerance (the potentials would not be admissible).
     """
-    values = cost_tensor(model, space)
-    finite = np.isfinite(values)
-    defect = np.where(finite, values - duals.grid_sum(space.shape), np.inf)
-    worst = float(np.min(defect[finite])) if finite.any() else 0.0
+    _, slack = _splitting_slack(model, space, duals)
+    worst = float(slack.min())
     if worst < -tol_split:
-        raise InvalidCertificateError(
-            f"potentials overshoot the cost by {-worst:.3e}"
-        )
-    tight = finite & (defect <= tol_split)
+        raise InvalidCertificateError(f"potentials overshoot the cost by {-worst:.3e}")
+    tight = slack <= tol_split  # never an excluded cell: its slack is +inf
     cells = frozenset(map(tuple, np.argwhere(tight).tolist()))
-    max_violation = float(np.max(defect[tight])) if cells else 0.0
+    max_violation = float(np.max(slack[tight])) if cells else 0.0
     return SplittingSetReport(cells, max_violation, tol_split)
 
 
@@ -307,25 +303,11 @@ def twist_multiplicity(
     for i1 in sorted(by_x1):
         members = by_x1[i1]
         for group in _linked_groups([g for _, g in members], tol_grad):
-            clusters.append(
-                GradientCluster(
-                    axis1_index=i1,
-                    cells=tuple(members[a][0] for a in group),
-                    gradient=members[group[0]][1],
-                )
-            )
-    if clusters:
-        witness = max(clusters, key=lambda cl: len(cl.cells))
-        max_mult = len(witness.cells)
-    else:
-        witness = None
-        max_mult = 0
-    return TwistReport(
-        clusters=tuple(clusters),
-        max_multiplicity=max_mult,
-        witness=witness,
-        flagged_cells=tuple(flagged),
-    )
+            linked = tuple(members[a][0] for a in group)
+            clusters.append(GradientCluster(i1, linked, gradient=members[group[0]][1]))
+    witness = max(clusters, key=lambda cl: len(cl.cells), default=None)
+    return TwistReport(tuple(clusters), max_multiplicity=len(witness.cells) if witness else 0,
+                       witness=witness, flagged_cells=tuple(flagged))
 
 
 def _linked_groups(grads, tol_grad: float) -> list[list[int]]:

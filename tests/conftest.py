@@ -11,9 +11,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.optimize import linprog
 
 from mmotlab import Coupling, DiscreteMarginal, ProductSpace
+
+# Property tests draw the same examples on every run, with no time limit, so
+# a test run is as deterministic as the rest of the suite.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 def brute_force_value_n2(costs: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:

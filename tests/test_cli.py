@@ -162,6 +162,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "'K'" in err and str(mpath) in err
 
+    def test_coupling_entry_missing_its_mass(self, triple_files, tmp_path, capsys):
+        paths, _ = triple_files
+        cpath = tmp_path / "plan.json"
+        cpath.write_text(json.dumps({"entries": [{"idx": [0, 0, 0]}]}))
+        assert main(["extremal", *_marg_args(paths), "--coupling", str(cpath)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"mmotlab: error: {cpath}: ") and "'mass'" in err
+
+    def test_maps_entries_that_are_not_objects(self, triple_files, tmp_path, capsys):
+        paths, _ = triple_files
+        mpath = tmp_path / "maps.json"
+        mpath.write_text(json.dumps({"maps": [[[0, 0], [1, 1], [2, 2]]]}))
+        assert main(["thm41", *_marg_args(paths), "--maps", str(mpath)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"mmotlab: error: {mpath}: ") and "'H'" in err
+
 
 def test_cli_import_loads_no_scipy():
     src = str(Path(mmotlab.__file__).resolve().parents[1])

@@ -355,6 +355,32 @@ class TestUserHook:
         assert all(len(xs) == 3 and all(x.shape == (1,) for x in xs) for xs in calls)
 
 
+class TestGridCache:
+    """``cost_tensor`` keeps the last (model, space) grid; it is never stale."""
+
+    def test_grid_is_read_only_and_reused(self, small_symmetric_space):
+        model = Coulomb1D()
+        grid = cost_tensor(model, small_symmetric_space)
+        assert cost_tensor(model, small_symmetric_space) is grid
+        with pytest.raises(ValueError):
+            grid[0, 1, 2] = 0.0
+
+    def test_alternating_spaces(self, rng):
+        model = TwoWell()
+        spaces = [_shuffled_space(rng, (3, 4, 2)), _shuffled_space(rng, (3, 4, 2))]
+        for space in spaces * 3:
+            _assert_grid_is_pointwise(model, space)
+
+    def test_distinct_models_on_one_space(self, rng):
+        space = _shuffled_space(rng, (3, 4, 2))
+        models = [Tabulated(rng.uniform(size=space.shape), space),
+                  Tabulated(rng.uniform(size=space.shape), space),
+                  UserHook(lambda xs: float(xs[0][0] - xs[2][0]), n=3),
+                  UserHook(lambda xs: float(xs[1][0] * xs[2][0]), n=3)]
+        for model in models * 3:
+            _assert_grid_is_pointwise(model, space)
+
+
 class TestOnePath:
     """Every evaluation path gives the bits of the one definition."""
 

@@ -12,6 +12,7 @@ from mmotlab.io import (
     dump_coupling,
     dump_marginal,
     load_coupling,
+    load_maps,
     load_marginal,
     marginal_from_dict,
     marginal_to_dict,
@@ -46,6 +47,44 @@ def test_marginal_missing_key_is_named(key, tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=f"m.json: marginal has no '{key}' key"):
         load_marginal(path)
+
+
+_IDENT = {"0": 0, "1": 1, "2": 2}
+
+
+@pytest.mark.parametrize("kind, data, key", [
+    ("marginal", [[0.0], [1.0]], "d"),
+    ("marginal", {"d": 1, "points": [0.0, 1.0], "weights": [0.5, 0.5]}, "points"),
+    ("marginal", {"d": 1, "points": [[0.0], [1.0]], "weights": "even"}, "weights"),
+    ("coupling", {"plan": []}, "entries"),
+    ("coupling", {"entries": [[0, 0]]}, "idx"),
+    ("coupling", {"entries": [{"idx": [0, 0]}]}, "mass"),
+    ("coupling", {"entries": [{"idx": [[0], 0], "mass": 1.0}]}, "idx"),
+    ("coupling", {"entries": [{"idx": [0, 0], "mass": "1"}]}, "mass"),
+    ("maps", {"maps": {"H": _IDENT, "K": _IDENT}}, "maps"),
+    ("maps", {"maps": [[_IDENT, _IDENT]]}, "H"),
+    ("maps", {"maps": [{"H": _IDENT, "K": [0, 1, 2]}]}, "K"),
+    ("maps", {"maps": [{"H": {"x": 0}, "K": _IDENT}]}, "H"),
+    ("maps", {"maps": [{"H": _IDENT, "K": {"0": [1]}}]}, "K"),
+    ("maps", {"maps": [{"H": _IDENT, "K": _IDENT}], "theta": [1.0]}, "theta"),
+])
+def test_malformed_file_names_the_path_and_the_key(kind, data, key, tmp_path):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    load = {"marginal": load_marginal, "maps": load_maps,
+            "coupling": lambda p: load_coupling(p, _space())}[kind]
+    with pytest.raises(ValueError) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}: ") and repr(key) in str(err.value)
+
+
+def test_maps_file_round_trip(tmp_path):
+    path = tmp_path / "maps.json"
+    path.write_text(json.dumps({"maps": [{"H": _IDENT, "K": {"0": 2, "1": 0, "2": 1}}],
+                                "theta": {"2": 1.5}}))
+    maps, theta = load_maps(path)
+    assert maps == [({0: 0, 1: 1, 2: 2}, {0: 2, 1: 0, 2: 1})]
+    assert theta == {2: 1.5}
 
 
 def test_coupling_round_trip_bit_exact():

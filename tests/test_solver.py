@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmotlab import (
     Coulomb1D,
@@ -19,9 +21,10 @@ from mmotlab import (
     c_conjugate_update,
     duality_gap,
     solve_exact,
+    splitting_support,
 )
 from mmotlab import solver
-from mmotlab.core import InternalConsistencyError, eval_cost
+from mmotlab.core import InternalConsistencyError, cost_tensor, eval_cost
 from mmotlab.experiments import coulomb_perturbed_space, twowell_space
 from mmotlab.solver import _basis_matrix, _inverse, _Lp
 
@@ -112,8 +115,9 @@ class TestInfeasibility:
         m = DiscreteMarginal([0.0, 1.0], [0.5, 0.5])
         space = ProductSpace([m, m])
         costs = [[math.inf] * 2] * 2
-        with pytest.raises(InfeasibleTransportError):
+        with pytest.raises(InfeasibleTransportError) as err:
             solve_exact(Tabulated(costs, space), space)
+        assert err.value.excluded_cells == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_coulomb_single_shared_point(self):
         # Two marginals forced onto one identical point can only meet on
@@ -264,6 +268,62 @@ def test_certificate_values_have_one_definition(model, space):
     r = solve_exact(model, space)
     assert r.plan.transport_cost(model) == r.primal_value
     assert duality_gap(model, r.plan, r.duals) == r.primal_value - r.dual_value
+
+
+class TestSharedGrid:
+    """A solve and the analyses after it evaluate the (model, space) grid once."""
+
+    def test_analyses_reuse_the_solve_grid(self):
+        calls = [0]
+
+        def counted(xs):
+            calls[0] += 1
+            return _soft_coulomb(xs)
+
+        model = UserHook(counted, 3)
+        space = _hook_space(3, 5, seed=3)
+        result = solve_exact(model, space)
+        cells = len(result.plan.entries)
+        # the grid once; the plan's cells for its cost and for the certificate
+        assert calls[0] == 5 ** 3 + 2 * cells
+        before = calls[0]
+        splitting_support(model, space, result.duals)
+        for i in range(space.n):
+            c_conjugate_update(model, space, result.duals, i)
+        assert calls[0] == before
+        duality_gap(model, result.plan, result.duals)
+        assert calls[0] == before + cells  # the plan's transport cost only
+
+
+@st.composite
+def _axis_permutations(draw):
+    """A finite-cost instance, one of its axes and a permutation of that axis."""
+    model = draw(st.sampled_from([Coulomb1D(), TwoWell(), ProductXYZ()]))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=3, max_size=3))
+    # coordinates distinct across all axes keep the Coulomb cost finite
+    ticks = draw(st.lists(st.integers(0, 63), min_size=sum(sizes), max_size=sum(sizes),
+                          unique=True))
+    axes = []
+    for size in sizes:
+        points, ticks = np.array(ticks[:size]) / 64.0, ticks[size:]
+        weights = np.array(draw(st.lists(st.integers(1, 9), min_size=size, max_size=size)))
+        axes.append(DiscreteMarginal(points, weights / weights.sum()))
+    axis = draw(st.integers(0, 2))
+    return model, ProductSpace(axes), axis, draw(st.permutations(range(sizes[axis])))
+
+
+@settings(max_examples=30)
+@given(_axis_permutations())
+def test_permuting_one_axis_permutes_the_grid_and_keeps_the_value(case):
+    model, space, axis, perm = case
+    axes = list(space.axes)
+    axes[axis] = DiscreteMarginal(axes[axis].points[perm], axes[axis].weights[perm])
+    permuted = ProductSpace(axes)
+    grid = cost_tensor(model, space)
+    assert cost_tensor(model, permuted).tobytes() == grid.take(perm, axis=axis).tobytes()
+    assert cost_tensor(model, space).tobytes() == grid.tobytes()
+    value = solve_exact(model, space).primal_value
+    assert abs(solve_exact(model, permuted).primal_value - value) <= 1e-12 * (1 + abs(value))
 
 
 class TestThreeMarginalSmall:
