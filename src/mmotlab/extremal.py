@@ -233,8 +233,12 @@ def check_thm41(
 
     if theta is not None:
         theta = {int(z): float(v) for z, v in theta.items()}
+        constraints = _theta_constraints(maps)
+        missing = sorted({z for a, b, *_ in constraints for z in (a, b)} - theta.keys())
+        if missing:
+            raise ValueError(f"theta lacks the axis-3 indices {missing} that the maps constrain")
         hyp_iii = True
-        for a, b, x2, pos in _theta_constraints(maps):
+        for a, b, x2, pos in constraints:
             if not theta[a] > theta[b]:
                 hyp_iii = False
                 failures.append(("theta_not_strict", x2, pos))

@@ -96,10 +96,12 @@ def check_c_monotone(
     within a pair.
 
     Each distinct cell, given or swapped, is evaluated once: pairs are
-    taken one first cell at a time against all later cells, and one
-    ``cost_at`` call evaluates the block's cells not seen before.  Beyond
-    the memo of costs the work space is O(S * 2^(n-1)) for S cells;
-    nothing the size of the grid is built.
+    taken one first cell at a time against all later cells, and the
+    block's swapped cells are built as index rows directly.  A cell's
+    mixed-radix key serves only the memo of costs, and one ``cost_at``
+    call evaluates the block's cells not seen before.  Beyond the memo the
+    work space is O(S * 2^(n-1)) for S cells; nothing the size of the grid
+    is built.
     """
     n = space.n
     if n > 6:
@@ -113,54 +115,36 @@ def check_c_monotone(
         for r in range(0, n - 1)
         for rest in itertools.combinations(range(1, n), r)
     ]
-    # A cell's key is its mixed-radix number over the index ranges the
-    # given cells span; a swapped cell takes each index from a given cell,
-    # so its key is the sum of the keys' per-axis parts, chosen by P+.
     idx = np.array(cells, dtype=np.int64)
+    plus = np.array([[k in p for k in range(n)] for p in partitions])
+    # a cell's key is its mixed-radix number over the index ranges the
+    # given cells span, which every swapped cell stays within
     low = idx.min(axis=0)
     radix = (idx.max(axis=0) - low + 1).tolist()
     dtype = np.int64 if math.prod(radix) < 2**63 else object
-    strides = [math.prod(radix[:k]) for k in range(n)]
-    parts = (idx - low).astype(dtype) * np.array(strides, dtype=dtype)
-    plus = np.array([[k in p for k in range(n)] for p in partitions]).astype(dtype)
-    minus = 1 - plus
+    strides = np.array([math.prod(radix[:k]) for k in range(n)], dtype=dtype)
     memo: dict = {}
 
-    def costs(keys, cell_at):
-        """Costs of a key array; ``cell_at(j)`` is the cell of flat key j."""
-        uniq, first, inverse = np.unique(
-            keys.ravel(), return_index=True, return_inverse=True
+    def costs(rows):
+        """Costs of the cells along the last axis of ``rows``."""
+        flat = rows.reshape(-1, n)
+        keys, first, inverse = np.unique(
+            (flat - low).astype(dtype) @ strides, return_index=True, return_inverse=True
         )
-        uniq = uniq.tolist()
-        missing = [(key, j) for key, j in zip(uniq, first.tolist()) if key not in memo]
+        keys = keys.tolist()
+        missing = {key: j for key, j in zip(keys, first.tolist()) if key not in memo}
         if missing:
-            found = cost_at(model, space, [cell_at(j) for _, j in missing])
-            memo.update(zip((key for key, _ in missing), found.tolist()))
-        return np.array([memo[key] for key in uniq])[inverse].reshape(keys.shape)
+            memo.update(zip(missing, cost_at(model, space, flat[list(missing.values())]).tolist()))
+        return np.array([memo[key] for key in keys])[inverse].reshape(rows.shape[:-1])
 
-    given = costs(parts.sum(axis=1), lambda j: cells[j])
+    given = costs(idx)
     if not np.all(np.isfinite(given)):
         raise ValueError("monotonicity check requires finite-cost cells")
-    n_parts = len(partitions)
     violations = []
     for i, a in enumerate(cells[:-1]):
-        rest = parts[i + 1:]
-        count = len(rest)
-
-        def swapped(j):
-            row, p = divmod(j, n_parts)
-            b = cells[i + 1 + row % count]
-            first, second = (a, b) if row < count else (b, a)
-            return tuple(x if k in partitions[p] else y
-                         for k, (x, y) in enumerate(zip(first, second)))
-
-        # rows 0..count-1: (a on P+, b on P-); rows count..: (b on P+, a on P-)
-        keys = np.concatenate([
-            plus @ parts[i] + rest @ minus.T,
-            rest @ plus.T + minus @ parts[i],
-        ])
-        swap = costs(keys, swapped)
-        c1, c2 = swap[:count], swap[count:]
+        rest = idx[i + 1:, None, :]
+        # c1: a on P+ and b on P-; c2: b on P+ and a on P-
+        c1, c2 = costs(np.stack([np.where(plus, idx[i], rest), np.where(plus, rest, idx[i])]))
         # a +inf swapped cost makes the defect -inf, which never counts
         defect = (given[i] + given[i + 1:])[:, None] - c1 - c2
         for b, p in zip(*(ix.tolist() for ix in np.nonzero(defect > tol_mono))):

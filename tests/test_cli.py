@@ -345,7 +345,9 @@ class TestReports:
         report = json.loads(out.read_text())
         assert report["payload"]["tv_distance"] >= 1 / 18 - 1e-12
 
-    def test_thm41_subcommand(self, tmp_path):
+    @staticmethod
+    def _thm41_args(tmp_path, **extra):
+        """``thm41`` arguments for a valid two-map family, maps file entries added."""
         m12 = DiscreteMarginal([0.0, 1.0], [0.5, 0.5])
         m3 = DiscreteMarginal([0.0, 1.0, 2.0, 3.0], [0.25] * 4)
         paths = []
@@ -357,17 +359,25 @@ class TestReports:
             "maps": [
                 {"H": {"0": 0, "1": 1}, "K": {"0": 0, "1": 1}},
                 {"H": {"0": 1, "1": 0}, "K": {"0": 2, "1": 3}},
-            ]
+            ],
+            **extra,
         }
         mpath = tmp_path / "maps.json"
         mpath.write_text(json.dumps(maps))
+        return ["thm41", *_marg_args(paths), "--maps", str(mpath)]
+
+    def test_thm41_subcommand(self, tmp_path):
         out = tmp_path / "t.json"
-        code = main(
-            ["thm41", *_marg_args(paths), "--maps", str(mpath), "--out", str(out)]
-        )
+        code = main([*self._thm41_args(tmp_path), "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
         assert report["payload"]["hypothesis_iii"] is True
+
+    def test_thm41_theta_missing_constrained_indices(self, tmp_path, capsys):
+        assert main(self._thm41_args(tmp_path, theta={"0": 1.0})) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mmotlab: error: ") and "theta" in err and "[1, 2, 3]" in err
+        assert "Traceback" not in err
 
 
 class TestRegistry:

@@ -201,6 +201,16 @@ class TestCheckThm41:
         assert not bad.hypothesis_iii
         assert any(f[0] == "theta_not_strict" for f in bad.failures)
 
+    def test_explicit_theta_missing_constrained_indices(self):
+        space = self._space()
+        maps = [
+            ({0: 0, 1: 1}, {0: 0, 1: 1}),
+            ({0: 1, 1: 0}, {0: 2, 1: 3}),
+        ]
+        # the constraints are theta(0) > theta(3) and theta(1) > theta(2)
+        with pytest.raises(ValueError, match=r"theta .*\[1, 2, 3\]"):
+            check_thm41(space, maps, theta={0: 1.0})
+
     def test_wrong_arity_space(self):
         m = _uniform([0.0, 1.0])
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from mmotlab import (
     NondifferentiableCostError,
     ProductSpace,
     ProductXYZ,
+    Tabulated,
     TwoWell,
     UndefinedRegionError,
     UserHook,
@@ -241,6 +242,17 @@ class TestCheckCMonotoneEquivalence:
         cells = {tuple(int(v) for v in rng.integers(3, 8, size=4)) for _ in range(15)}
         got = check_c_monotone(hook, cells, space, tol_mono=0.0)
         assert got and got == _reference_c_monotone(hook, cells, space, tol_mono=0.0)
+
+    def test_tabulated_with_infinite_swaps(self, rng):
+        space = ProductSpace([_uniform(np.arange(5.0))] * 4)
+        table = rng.uniform(size=space.shape)
+        # excluded cells: close to half of the swaps land on one and never count
+        table[rng.uniform(size=space.shape) < 0.3] = math.inf
+        model = Tabulated(table, space)  # evaluable only at grid points
+        finite = np.argwhere(np.isfinite(table))
+        cells = {tuple(c) for c in finite[rng.choice(len(finite), 14, replace=False)].tolist()}
+        got = check_c_monotone(model, cells, space, tol_mono=0.0)
+        assert got and got == _reference_c_monotone(model, cells, space, tol_mono=0.0)
 
     def test_each_distinct_cell_evaluated_once(self, rng):
         calls = []
