@@ -244,7 +244,12 @@ def _cmd_extremal(args):
 def _cmd_thm41(args):
     space = _load_space(args.marginals)
     maps, theta = io.load_maps(args.maps)
-    report = extremal.check_thm41(space, maps, theta=theta)
+    try:
+        report = extremal.check_thm41(space, maps, theta=theta)
+    except ValueError as exc:
+        if space.n != 3:  # about the --marginal files, not the maps
+            raise
+        raise ValueError(f"{args.maps}: {exc}") from None
     payload = {
         "hypothesis_i": report.hypothesis_i,
         "hypothesis_ii": report.hypothesis_ii,

@@ -267,9 +267,6 @@ class DualPotentials:
             vals.append(v)
         self.values = tuple(vals)
 
-    def total_at(self, idx: Sequence[int]) -> float:
-        return math.fsum(v[i] for v, i in zip(self.values, idx))
-
     def grid_sum(self, shape: Sequence[int]) -> np.ndarray:
         """sum_i u_i(x_i) on a grid of ``shape``, added axis by axis from 0.0."""
         total = np.zeros(shape)

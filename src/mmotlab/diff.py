@@ -1,14 +1,11 @@
 """Gradients, off-diagonal Hessians, signatures, and the product criterion.
 
 Built-in costs expose closed-form derivatives; anything else falls back to
-central finite differences with scale-aware steps.  Coulomb points closer
-than ten finite-difference steps to a coincidence are rejected instead of
-differenced.
+central finite differences with scale-aware steps.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +13,6 @@ import numpy as np
 
 from .core import (
     CostModel,
-    Coulomb1D,
     NondifferentiableCostError,
     SingularBlockError,
     Tabulated,
@@ -37,18 +33,6 @@ GRAD_STEP = 1e-5
 HESS_STEP = 1e-3
 
 
-def _fd_guard(model: CostModel, xs, step_scale: float):
-    if not isinstance(model, Coulomb1D):
-        return
-    coords = sorted(float(x[0]) for x in xs)
-    for a, b in itertools.pairwise(coords):
-        h = step_scale * (1.0 + max(abs(a), abs(b)))
-        if b - a < 10.0 * h:
-            raise NondifferentiableCostError(
-                f"coordinates {a} and {b} are within 10 finite-difference steps"
-            )
-
-
 def _perturbed(xs, i: int, comp: int, delta: float):
     out = list(np.array(x) for x in xs)
     out[i] = out[i].copy()
@@ -57,7 +41,6 @@ def _perturbed(xs, i: int, comp: int, delta: float):
 
 
 def _fd_grad(model: CostModel, xs, i: int) -> np.ndarray:
-    _fd_guard(model, xs, GRAD_STEP)
     d = xs[i].shape[0]
     out = np.empty(d)
     for comp in range(d):
@@ -73,7 +56,6 @@ def _fd_grad(model: CostModel, xs, i: int) -> np.ndarray:
 
 
 def _fd_mixed_block(model: CostModel, xs, i: int, j: int) -> np.ndarray:
-    _fd_guard(model, xs, HESS_STEP)
     d = xs[i].shape[0]
     out = np.empty((d, d))
     for a in range(d):

@@ -17,14 +17,20 @@ from .core import Coupling, DiscreteMarginal, ProductSpace
 _KINDS = {"array": list, "object": dict, "number": (int, float), "integer": int}
 
 
+def _is(value, kind: str) -> bool:
+    """Whether ``value`` is a JSON ``kind``; true and false are not numbers."""
+    if kind == "number array":
+        return isinstance(value, list) and all(_is(v, "number") for v in value)
+    return isinstance(value, _KINDS[kind]) and not isinstance(value, bool)
+
+
 def _get(data, key: str, kind: str, what: str, items: str | None = None):
     """``data[key]``, a JSON ``kind`` (of ``items`` values); ``what`` names ``data``."""
     if not isinstance(data, dict) or key not in data:
         raise ValueError(f"{what} has no {key!r} key")
     value = data[key]
     inner = value.values() if isinstance(value, dict) else value
-    if not isinstance(value, _KINDS[kind]) or (
-            items and not all(isinstance(v, _KINDS[items]) for v in inner)):
+    if not _is(value, kind) or (items and not all(_is(v, items) for v in inner)):
         of = f" of {items} values" if items else ""
         raise ValueError(f"{what} key {key!r} is not a JSON {kind}{of}")
     return value
@@ -45,8 +51,8 @@ def marginal_to_dict(marginal: DiscreteMarginal) -> dict:
 
 def marginal_from_dict(data: dict) -> DiscreteMarginal:
     d = _get(data, "d", "number", "marginal")
-    points = _get(data, "points", "array", "marginal", items="array")
-    weights = _get(data, "weights", "array", "marginal")
+    points = _get(data, "points", "array", "marginal", items="number array")
+    weights = _get(data, "weights", "array", "marginal", items="number")
     if any(len(pt) != d for pt in points):
         raise ValueError("point dimension disagrees with the declared d")
     return DiscreteMarginal(points, weights)

@@ -37,7 +37,6 @@ from .core import (
     InvalidCertificateError,
     ProductSpace,
     _splitting_slack,
-    cost_at,
     cost_tensor,
 )
 
@@ -70,37 +69,31 @@ class _Lp:
     """Workspace for one solve: rows, finite cells, and the simplex state."""
 
     def __init__(self, model: CostModel, space: ProductSpace):
-        self.space = space
-        shape = space.shape
         self.values = cost_tensor(model, space)
         self.cells = np.argwhere(np.isfinite(self.values))  # (ncells, n), lexicographic
         if self.cells.size == 0:
             raise self.infeasible("every grid cell has infinite cost")
         self.costs = self.values[tuple(self.cells.T)]
+        self.weights = np.concatenate([ax.weights for ax in space.axes])
+        self.pivots = 0
 
-        # Row layout: one row per axis point, minus the single redundant row
-        # (the last point of the last axis); any residual rank deficiency on
-        # the finite-cell set is detected and dropped after phase 1.
-        self.kept = [
-            (a, p)
-            for a, na in enumerate(shape)
-            for p in range(na)
-            if not (a == space.n - 1 and p == na - 1)
-        ]
+        # Row layout: point p of axis a is entry offsets[a] + p of the keep
+        # mask.  The redundant row of the last point of the last axis is
+        # dropped here, any other rank deficiency after phase 1.
+        self.offsets = np.cumsum((0, *space.shape[:-1]))
+        self.keep = np.ones(len(self.weights), dtype=bool)
+        self.keep[-1] = False
         self._reindex()
 
     def _reindex(self):
-        self.m = len(self.kept)
-        self.b = np.array([self.space.axes[a].weights[p] for a, p in self.kept])
-        # axis_rows[a][p]: row of point p on axis a, or the sentinel row m
-        # when that row was dropped.  cell_rows[a, j] = axis_rows[a][cells[j, a]]
-        # is the one table every column, pricing pass and basis build reads.
-        self.axis_rows = [np.full(na, self.m, dtype=np.intp) for na in self.space.shape]
-        for r, (a, p) in enumerate(self.kept):
-            self.axis_rows[a][p] = r
-        self.cell_rows = np.stack(
-            [rows[self.cells[:, a]] for a, rows in enumerate(self.axis_rows)]
-        )
+        self.m = int(self.keep.sum())
+        self.b = self.weights[self.keep]
+        # row_of[q]: row of mask entry q, or the sentinel row m when that row
+        # was dropped.  cell_rows[a, j] is the row of cell j's axis-a point,
+        # the one table every column, pricing pass and basis build reads.
+        self.row_of = np.full(len(self.keep), self.m, dtype=np.intp)
+        self.row_of[self.keep] = np.arange(self.m)
+        self.cell_rows = self.row_of[(self.cells + self.offsets).T]
 
     def infeasible(self, message: str) -> InfeasibleTransportError:
         """The error to raise, certified by the grid's +inf cells."""
@@ -123,7 +116,7 @@ class _Lp:
         return total
 
     def drop_rows(self, redundant: set[int]):
-        self.kept = [ap for r, ap in enumerate(self.kept) if r not in redundant]
+        self.keep[np.flatnonzero(self.keep)[sorted(redundant)]] = False
         self._reindex()
 
 
@@ -146,8 +139,8 @@ def _inverse(B: np.ndarray) -> np.ndarray:
         raise InternalConsistencyError(f"singular basis matrix ({exc})") from None
 
 
-def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray, art_cost: float,
-             iteration_budget: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray,
+             art_cost: float) -> tuple[np.ndarray, np.ndarray]:
     """Pivot to optimality; returns the final basic values and row duals.
 
     ``basis`` is updated in place.  Entering column: most negative reduced
@@ -171,7 +164,7 @@ def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray, art_cost: float,
     # positive step restores the fast rule.
     degenerate_streak = 0
     while True:
-        if iteration_budget[0] <= 0:
+        if lp.pivots >= _MAX_ITER:
             raise InternalConsistencyError("simplex iteration budget exhausted")
         x_b = B_inv @ lp.b
         y = c_b @ B_inv
@@ -213,7 +206,7 @@ def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray, art_cost: float,
             B_inv[leave] = pivot_row
             updates += 1
         degenerate_streak = 0 if t > _TOL_PIVOT else degenerate_streak + 1
-        iteration_budget[0] -= 1
+        lp.pivots += 1
 
 
 def solve_exact(model: CostModel, space: ProductSpace, tol_dual: float = TOL_DUAL) -> SolveResult:
@@ -226,12 +219,10 @@ def solve_exact(model: CostModel, space: ProductSpace, tol_dual: float = TOL_DUA
     """
     lp = _Lp(model, space)
     ncells = len(lp.cells)
-    budget = [_MAX_ITER]
 
     # Phase 1: artificial start.
     basis = [ncells + r for r in range(lp.m)]
-    zeros = np.zeros(ncells)
-    x_b, _ = _simplex(lp, basis, zeros, 1.0, budget)
+    x_b, _ = _simplex(lp, basis, np.zeros(ncells), 1.0)
     infeas = math.fsum(x for v, x in zip(basis, x_b) if v >= ncells and x > 0)
     if infeas > 1e-9:
         raise lp.infeasible(f"no finite-cost coupling matches the marginals "
@@ -265,20 +256,18 @@ def solve_exact(model: CostModel, space: ProductSpace, tol_dual: float = TOL_DUA
         raise InternalConsistencyError("artificial variable left in the basis")
 
     # Phase 2: optimize the true cost; plan and duals come from its last basis.
-    x_b, y = _simplex(lp, basis, lp.costs, 0.0, budget)
+    x_b, y = _simplex(lp, basis, lp.costs, 0.0)
 
     plan = Coupling({tuple(lp.cells[v].tolist()): float(x)
                      for v, x in zip(basis, x_b) if x > 1e-14}, space)
 
     padded = np.append(y, 0.0)  # a dropped row's potential is 0
-    duals = DualPotentials([padded[rows] for rows in lp.axis_rows])
+    duals = DualPotentials(np.split(padded[lp.row_of], lp.offsets[1:]))
 
     primal = plan.transport_cost(model)
     dual = _dual_value(duals, space)
-    iterations = _MAX_ITER - budget[0]
-
     _check_result(model, space, plan, duals, primal, dual, tol_dual)
-    return SolveResult(plan, duals, primal, dual, iterations)
+    return SolveResult(plan, duals, primal, dual, lp.pivots)
 
 
 def _dual_value(duals: DualPotentials, space: ProductSpace) -> float:
@@ -290,6 +279,17 @@ def _dual_value(duals: DualPotentials, space: ProductSpace) -> float:
         math.fsum(u * w for u, w in zip(pot.tolist(), ax.weights.tolist()) if w > 0)
         for pot, ax in zip(duals.values, space.axes)
     )
+
+
+def _feasible_slack(model, space, duals, tol_dual):
+    """The grid and the slack c - sum u on it; raises ``InvalidCertificateError``
+    unless max(sum u - c) over the finite cells is at most tol_dual * (1 + max|c|)."""
+    values, slack = _splitting_slack(model, space, duals)
+    worst = -slack.min()  # max(sum u - c) over the finite cells, bit for bit
+    scale = np.max(np.abs(values), where=np.isfinite(values), initial=0.0)
+    if worst > tol_dual * (1.0 + scale):
+        raise InvalidCertificateError(f"splitting inequality violated by {worst:.3e}")
+    return values, slack
 
 
 def _check_result(model, space, plan, duals, primal, dual, tol_dual):
@@ -305,12 +305,12 @@ def _check_result(model, space, plan, duals, primal, dual, tol_dual):
         raise InternalConsistencyError(
             f"support size {len(plan.entries)} exceeds the vertex bound {bound}"
         )
-    cells = list(plan.entries)
-    for idx, cost in zip(cells, cost_at(model, space, cells).tolist()):
-        c = duals.total_at(idx)
-        if abs(cost - c) > tol_dual * (1.0 + abs(cost)):
+    values, slack = _feasible_slack(model, space, duals, tol_dual)
+    for idx in plan.entries:
+        cost, defect = float(values[idx]), float(slack[idx])
+        if abs(defect) > tol_dual * (1.0 + abs(cost)):
             raise InternalConsistencyError(
-                f"support cell {idx} is not tight: c={cost!r}, sum u={c!r}"
+                f"support cell {idx} is not tight: c={cost!r}, c - sum u={defect!r}"
             )
 
 
@@ -366,10 +366,5 @@ def duality_gap(
     Raises ``InvalidCertificateError`` when the potentials violate the
     splitting inequality on some finite-cost cell.
     """
-    space = plan.space
-    values, slack = _splitting_slack(model, space, duals)
-    worst = -slack.min()  # max(sum u - c) over the finite cells, bit for bit
-    scale = np.max(np.abs(values), where=np.isfinite(values), initial=0.0)
-    if worst > tol_dual * (1.0 + scale):
-        raise InvalidCertificateError(f"splitting inequality violated by {worst:.3e}")
-    return plan.transport_cost(model) - _dual_value(duals, space)
+    _feasible_slack(model, plan.space, duals, tol_dual)
+    return plan.transport_cost(model) - _dual_value(duals, plan.space)

@@ -376,8 +376,24 @@ class TestReports:
     def test_thm41_theta_missing_constrained_indices(self, tmp_path, capsys):
         assert main(self._thm41_args(tmp_path, theta={"0": 1.0})) == 1
         err = capsys.readouterr().err
-        assert err.startswith("mmotlab: error: ") and "theta" in err and "[1, 2, 3]" in err
+        assert err.startswith(f"mmotlab: error: {tmp_path / 'maps.json'}: ")
+        assert "theta" in err and "[1, 2, 3]" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("pair, message", [
+        ({"H": {"0": 0, "5": 1}, "K": {"0": 0, "5": 1}}, "positive-weight"),
+        ({"H": {"0": 0, "1": 1}, "K": {"0": 0}}, "share its domain"),
+    ])
+    def test_thm41_map_errors_name_the_maps_file(self, tmp_path, capsys, pair, message):
+        assert main(self._thm41_args(tmp_path, maps=[pair])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"mmotlab: error: {tmp_path / 'maps.json'}: ") and message in err
+
+    def test_thm41_on_two_marginals_names_no_file(self, tmp_path, capsys):
+        argv = self._thm41_args(tmp_path)
+        assert main(argv[:1] + argv[3:]) == 1  # one --marginal fewer
+        err = capsys.readouterr().err
+        assert err == "mmotlab: error: the map hypotheses are stated for three marginals\n"
 
 
 class TestRegistry:

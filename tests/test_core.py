@@ -181,10 +181,6 @@ class TestCoupling:
 
 
 class TestDualPotentials:
-    def test_total_at(self):
-        duals = DualPotentials([np.array([1.0, 2.0]), np.array([10.0, 20.0])])
-        assert duals.total_at((1, 0)) == 12.0
-
     def test_minus_inf_allowed_plus_inf_not(self):
         DualPotentials([np.array([-math.inf, 0.0])])
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from mmotlab import (
     signature,
     three_marginal_criterion,
 )
-from mmotlab.diff import GRAD_STEP, _fd_grad, grad
+from mmotlab.diff import _fd_grad, grad
 
 
 def _separated_triple(rng, low=0.0, high=1.0, min_gap=0.05):
@@ -58,13 +58,6 @@ class TestGradients:
     def test_coulomb_coincidence_rejected(self):
         with pytest.raises(NondifferentiableCostError):
             grad(Coulomb1D(), ([0.0], [0.0], [1.0]), 0)
-
-    def test_coulomb_near_coincidence_fd_guard(self):
-        model = UserHook(lambda xs: 0.0, n=3)  # force the FD path
-        close = ([0.0], [5.0 * GRAD_STEP], [1.0])
-        hook = Coulomb1D()
-        with pytest.raises(NondifferentiableCostError, match="finite-difference"):
-            _fd_grad(hook, hook.check_point(close), 0)
 
     def test_tabulated_rejected(self):
         m = DiscreteMarginal([0.0, 1.0], [0.5, 0.5])

@@ -67,6 +67,15 @@ _IDENT = {"0": 0, "1": 1, "2": 2}
     ("maps", {"maps": [{"H": {"x": 0}, "K": _IDENT}]}, "H"),
     ("maps", {"maps": [{"H": _IDENT, "K": {"0": [1]}}]}, "K"),
     ("maps", {"maps": [{"H": _IDENT, "K": _IDENT}], "theta": [1.0]}, "theta"),
+    # JSON true and false are not numbers, though Python's bool is an int
+    ("marginal", {"d": True, "points": [[0.0], [1.0]], "weights": [0.5, 0.5]}, "d"),
+    ("marginal", {"d": 1, "points": [[0.0], [1.0]], "weights": [True, False]}, "weights"),
+    ("marginal", {"d": 1, "points": [[True], [False]], "weights": [0.5, 0.5]}, "points"),
+    ("coupling", {"entries": [{"idx": [True, True], "mass": 1.0}]}, "idx"),
+    ("coupling", {"entries": [{"idx": [0, 0], "mass": True}]}, "mass"),
+    ("maps", {"maps": [{"H": {**_IDENT, "0": True}, "K": _IDENT}]}, "H"),
+    ("maps", {"maps": [{"H": _IDENT, "K": {**_IDENT, "2": False}}]}, "K"),
+    ("maps", {"maps": [{"H": _IDENT, "K": _IDENT}], "theta": {"0": True}}, "theta"),
 ])
 def test_malformed_file_names_the_path_and_the_key(kind, data, key, tmp_path):
     path = tmp_path / f"{kind}.json"

@@ -26,7 +26,7 @@ from mmotlab import (
 from mmotlab import solver
 from mmotlab.core import InternalConsistencyError, cost_tensor, eval_cost
 from mmotlab.experiments import coulomb_perturbed_space, twowell_space
-from mmotlab.solver import _basis_matrix, _inverse, _Lp
+from mmotlab.solver import _basis_matrix, _check_result, _inverse, _Lp
 
 from conftest import brute_force_value_n2, random_rational_marginal
 
@@ -88,7 +88,7 @@ class TestSolveResultContract:
     def test_support_cells_tight(self):
         for idx in self.result.plan.entries:
             c = eval_cost(Coulomb1D(), self.space.point(idx))
-            u = self.result.duals.total_at(idx)
+            u = math.fsum(v[i] for v, i in zip(self.result.duals.values, idx))
             assert abs(c - u) <= 1e-9 * (1.0 + abs(c))
 
     def test_value_invariant_under_axis_point_reordering(self):
@@ -284,8 +284,8 @@ class TestSharedGrid:
         space = _hook_space(3, 5, seed=3)
         result = solve_exact(model, space)
         cells = len(result.plan.entries)
-        # the grid once; the plan's cells for its cost and for the certificate
-        assert calls[0] == 5 ** 3 + 2 * cells
+        # the grid once, for the LP and the certificate; the plan's cells for its cost
+        assert calls[0] == 5 ** 3 + cells
         before = calls[0]
         splitting_support(model, space, result.duals)
         for i in range(space.n):
@@ -418,8 +418,9 @@ class TestLpTables:
         self.lp.drop_rows({1, 6})
         lp = self.lp
         self.A = np.zeros((lp.m, len(lp.cells)))
-        for r, (a, p) in enumerate(lp.kept):
-            self.A[r] = lp.cells[:, a] == p
+        for r, q in enumerate(np.flatnonzero(lp.keep)):
+            a = np.searchsorted(lp.offsets, q, side="right") - 1
+            self.A[r] = lp.cells[:, a] == q - lp.offsets[a]
         self.rng = rng
 
     def test_table_covers_finite_cells_and_kept_rows(self):
@@ -449,3 +450,16 @@ class TestLpTables:
         basis = [0, 0] + [len(lp.cells) + r for r in range(2, lp.m)]
         with pytest.raises(InternalConsistencyError, match="singular"):
             _inverse(_basis_matrix(lp, basis))
+
+
+def test_check_result_rejects_duals_infeasible_off_the_support():
+    """A tight, zero-gap pair whose duals exceed c off the support is no certificate."""
+    m = _uniform_line([0.0, 1.0])
+    space = ProductSpace([m, m])
+    model = Tabulated([[1.0, 0.0], [0.0, 1.0]], space)
+    plan = Coupling({(0, 0): 0.5, (1, 1): 0.5}, space)
+    duals = DualPotentials([np.ones(2), np.zeros(2)])
+    primal, dual = plan.transport_cost(model), solver._dual_value(duals, space)
+    assert primal == dual == 1.0
+    with pytest.raises(InvalidCertificateError, match="splitting inequality"):
+        _check_result(model, space, plan, duals, primal, dual, solver.TOL_DUAL)
