@@ -4,10 +4,12 @@ The LP is solved by a two-phase revised primal simplex.  Entering column:
 most negative reduced cost, ties within a relative 1e-12 going to the lowest
 column index, falling back to Bland's lowest-index rule during degenerate
 stalls so cycling is impossible; leaving row: minimum ratio, ties broken by
-lowest basic column index.  One constraint row per axis point, with the
-single redundant row (last point of the last axis) dropped; +inf cells are
-removed before the matrix is built.  The method returns a vertex plan
-together with optimal dual potentials.
+lowest basic column index.  One constraint row per axis point, the
+redundant last point of the last axis excepted; +inf cells are removed
+before the matrix is built.  Rows never change after that: phase 2 holds each
+artificial that phase 1 left basic at zero, and one that an entering column
+would move leaves at step 0.  The method returns a vertex plan together with
+optimal dual potentials.
 
 The constraint matrix is never formed: one integer table holds the row of
 every finite cell on every axis, and columns, pricing sums and the basis
@@ -77,23 +79,13 @@ class _Lp:
         self.weights = np.concatenate([ax.weights for ax in space.axes])
         self.pivots = 0
 
-        # Row layout: point p of axis a is entry offsets[a] + p of the keep
-        # mask.  The redundant row of the last point of the last axis is
-        # dropped here, any other rank deficiency after phase 1.
+        # Point p of axis a is row offsets[a] + p; the last point of the last
+        # axis is the sentinel row m, whose equation the others imply.
+        # cell_rows[a, j] is the row of cell j's axis-a point.
         self.offsets = np.cumsum((0, *space.shape[:-1]))
-        self.keep = np.ones(len(self.weights), dtype=bool)
-        self.keep[-1] = False
-        self._reindex()
-
-    def _reindex(self):
-        self.m = int(self.keep.sum())
-        self.b = self.weights[self.keep]
-        # row_of[q]: row of mask entry q, or the sentinel row m when that row
-        # was dropped.  cell_rows[a, j] is the row of cell j's axis-a point,
-        # the one table every column, pricing pass and basis build reads.
-        self.row_of = np.full(len(self.keep), self.m, dtype=np.intp)
-        self.row_of[self.keep] = np.arange(self.m)
-        self.cell_rows = self.row_of[(self.cells + self.offsets).T]
+        self.m = len(self.weights) - 1
+        self.b = self.weights[:-1]
+        self.cell_rows = (self.cells + self.offsets).T
 
     def infeasible(self, message: str) -> InfeasibleTransportError:
         """The error to raise, certified by the grid's +inf cells."""
@@ -115,17 +107,13 @@ class _Lp:
             total += padded[rows]
         return total
 
-    def drop_rows(self, redundant: set[int]):
-        self.keep[np.flatnonzero(self.keep)[sorted(redundant)]] = False
-        self._reindex()
-
 
 def _basis_matrix(lp: _Lp, basis: list[int]) -> np.ndarray:
     """Dense basis matrix; entries ``>= ncells`` are artificial unit columns."""
     basis = np.asarray(basis)
     structural = basis < len(lp.cells)
     k = np.arange(lp.m)
-    B = np.zeros((lp.m + 1, lp.m))  # the last row absorbs dropped rows
+    B = np.zeros((lp.m + 1, lp.m))  # the last row absorbs the sentinel row
     B[lp.cell_rows[:, basis[structural]], k[structural]] = 1.0
     B[basis[~structural] - len(lp.cells), k[~structural]] = 1.0
     return B[:-1]
@@ -149,6 +137,7 @@ def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray,
     in a row; leaving row: minimum ratio, ties to the lowest basic column
     index.  The basis inverse gets a rank-one update per pivot and is
     recomputed every ``_REFACTOR`` pivots and before optimality is accepted.
+    In phase 2 (``art_cost == 0``) basic artificials are held at zero.
     """
     ncells = len(lp.cells)
     in_basis = np.zeros(ncells, dtype=bool)
@@ -157,6 +146,7 @@ def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray,
     B_inv = _inverse(B)
     updates = 0
     c_b = np.array([costs[v] if v < ncells else art_cost for v in basis])
+    held = [r for r, v in enumerate(basis) if v >= ncells] if art_cost == 0 else []
 
     # Entering rule: steepest (most negative reduced cost) while progress is
     # being made; a streak of degenerate pivots switches to Bland's
@@ -183,17 +173,23 @@ def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray,
             e = int(candidates[0])  # Bland: lowest index
         col = lp.column(e)
         d = B_inv @ col
-        pos = np.flatnonzero(d > _TOL_PIVOT)
-        if pos.size == 0:
-            raise InternalConsistencyError(
-                "unbounded direction in a bounded transport LP"
-            )
-        ratios = np.maximum(x_b[pos], 0.0) / d[pos]
-        t = ratios.min()
-        tie_rows = pos[ratios <= t + 1e-12 * (1.0 + abs(t))]
-        leave = min(tie_rows, key=lambda r: basis[r])  # Bland on ties
+        moved = [r for r in held if abs(d[r]) > _TOL_PIVOT]
+        if moved:
+            leave, t = moved[0], 0.0
+        else:
+            pos = np.flatnonzero(d > _TOL_PIVOT)
+            if pos.size == 0:
+                raise InternalConsistencyError(
+                    "unbounded direction in a bounded transport LP"
+                )
+            ratios = np.maximum(x_b[pos], 0.0) / d[pos]
+            t = ratios.min()
+            tie_rows = pos[ratios <= t + 1e-12 * (1.0 + abs(t))]
+            leave = min(tie_rows, key=lambda r: basis[r])  # Bland on ties
         if basis[leave] < ncells:
             in_basis[basis[leave]] = False
+        elif leave in held:
+            held.remove(leave)
         basis[leave] = e
         in_basis[e] = True
         B[:, leave] = col
@@ -228,41 +224,15 @@ def solve_exact(model: CostModel, space: ProductSpace, tol_dual: float = TOL_DUA
         raise lp.infeasible(f"no finite-cost coupling matches the marginals "
                             f"(phase-1 residual {infeas:.3e})")
 
-    # Drive remaining zero-level artificials out of the basis, or drop the
-    # rows they certify as redundant.
-    redundant: set[int] = set()
-    basic_structural = {v for v in basis if v < ncells}
-    B = _basis_matrix(lp, basis)
-    B_inv = _inverse(B)
-    for r in range(lp.m):
-        if basis[r] < ncells:
-            continue
-        w = B_inv[r]  # solves B^T w = e_r
-        coef = lp.axis_sums(w)
-        coef[list(basic_structural)] = 0.0
-        options = np.flatnonzero(np.abs(coef) > 1e-8)
-        if options.size == 0:
-            redundant.add(r)
-            continue
-        j = int(options[0])
-        basis[r] = j
-        basic_structural.add(j)
-        B[:, r] = lp.column(j)
-        B_inv = _inverse(B)
-    if redundant:
-        basis = [v for r, v in enumerate(basis) if r not in redundant]
-        lp.drop_rows(redundant)
-    if any(v >= ncells for v in basis):
-        raise InternalConsistencyError("artificial variable left in the basis")
-
     # Phase 2: optimize the true cost; plan and duals come from its last basis.
     x_b, y = _simplex(lp, basis, lp.costs, 0.0)
+    residual = max((x for v, x in zip(basis, x_b) if v >= ncells), default=0.0)
+    if residual > 1e-12:
+        raise InternalConsistencyError(f"basic artificial at {residual:.3e} after phase 2")
 
     plan = Coupling({tuple(lp.cells[v].tolist()): float(x)
-                     for v, x in zip(basis, x_b) if x > 1e-14}, space)
-
-    padded = np.append(y, 0.0)  # a dropped row's potential is 0
-    duals = DualPotentials(np.split(padded[lp.row_of], lp.offsets[1:]))
+                     for v, x in zip(basis, x_b) if v < ncells and x > 1e-14}, space)
+    duals = DualPotentials(np.split(np.append(y, 0.0), lp.offsets[1:]))
 
     primal = plan.transport_cost(model)
     dual = _dual_value(duals, space)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linprog
 
 from mmotlab import (
     Coulomb1D,
@@ -20,6 +22,7 @@ from mmotlab import (
     UserHook,
     c_conjugate_update,
     duality_gap,
+    is_vertex,
     solve_exact,
     splitting_support,
 )
@@ -355,38 +358,39 @@ class TestPivotPath:
     def test_coulomb_perturbed_12(self):
         # Recorded when the simplex moved to an updated basis inverse and the
         # entering rule took the lowest index among near-ties: the new
-        # arithmetic and tie rule give a different optimal vertex.
+        # arithmetic and tie rule give a different optimal vertex.  Masses
+        # re-recorded when phase 2 started from the phase-1 basis with its
+        # zero-level artificials: same pivots, last bits moved.
         result = solve_exact(Coulomb1D(), coulomb_perturbed_space(12, seed=1))
         assert result.iterations == 214
         assert dict(result.plan.entries) == {
-            (0, 5, 8): 0.04331640504522548, (0, 5, 9): 0.007914499354469084,
-            (0, 9, 5): 0.005768555130810454, (1, 6, 9): 0.037742805417308276,
-            (1, 9, 5): 0.017158661123788853, (1, 9, 6): 0.012252348410324104,
-            (2, 6, 10): 0.00638446754859906, (2, 10, 6): 0.05523657745416668,
-            (3, 7, 10): 0.026186078546398317, (3, 11, 7): 0.04660372763723334,
-            (3, 11, 8): 0.004669573088616125, (4, 8, 11): 0.025330019563894225,
-            (4, 11, 8): 0.047636608182728545, (5, 1, 9): 0.012308148775439079,
-            (5, 8, 11): 0.005854875250962163, (5, 9, 0): 0.06116039785595415,
-            (6, 1, 9): 0.04544035307552426, (6, 10, 2): 0.04544760876565486,
-            (7, 2, 10): 0.012528398605485845, (7, 3, 10): 0.059870614155327656,
-            (7, 3, 11): 0.011435272788601791, (7, 10, 3): 0.004566909508921715,
-            (8, 4, 11): 0.07115444980061811, (8, 5, 11): 0.002497386329688926,
-            (8, 11, 3): 0.022063232694004474, (9, 0, 5): 0.055619412613869455,
-            (9, 1, 5): 0.00822843538229405, (9, 5, 1): 0.026263048420611695,
-            (10, 2, 6): 0.016767025988576045, (10, 2, 7): 0.035237356772717984,
-            (10, 6, 1): 0.03712053739849336, (10, 7, 2): 0.020413478344062014,
-            (11, 7, 3): 0.040235223974980736, (11, 8, 4): 0.06958750699464866,
+            (0, 5, 8): 0.043316405045225645, (0, 5, 9): 0.007914499354468918,
+            (0, 9, 5): 0.005768555130810427, (1, 6, 9): 0.037742805417308345,
+            (1, 9, 5): 0.017158661123788874, (1, 9, 6): 0.012252348410324049,
+            (2, 6, 10): 0.006384467548599018, (2, 10, 6): 0.0552365774541667,
+            (3, 7, 10): 0.026186078546398317, (3, 11, 7): 0.04660372763723342,
+            (3, 11, 8): 0.004669573088616083, (4, 8, 11): 0.02533001956389426,
+            (4, 11, 8): 0.047636608182728524, (5, 1, 9): 0.01230814877543919,
+            (5, 8, 11): 0.005854875250962122, (5, 9, 0): 0.06116039785595413,
+            (6, 1, 9): 0.0454403530755243, (6, 10, 2): 0.04544760876565482,
+            (7, 2, 10): 0.012528398605485866, (7, 3, 10): 0.059870614155327684,
+            (7, 3, 11): 0.011435272788601625, (7, 10, 3): 0.004566909508921725,
+            (8, 4, 11): 0.07115444980061811, (8, 5, 11): 0.0024973863296889054,
+            (8, 11, 3): 0.022063232694004467, (9, 0, 5): 0.055619412613869455,
+            (9, 1, 5): 0.008228435382293842, (9, 5, 1): 0.02626304842061189,
+            (10, 2, 6): 0.016767025988576115, (10, 2, 7): 0.0352373567727179,
+            (10, 6, 1): 0.0371205373984933, (10, 7, 2): 0.020413478344062055,
+            (11, 7, 3): 0.040235223974980715, (11, 8, 4): 0.06958750699464869,
         }
 
     def test_twowell_20(self):
         # Recorded from the updated-inverse simplex: every mass is 1/42 up
-        # to the last bits, which differ on two cells.
+        # to the last bits, which differ on one cell.
         result = solve_exact(TwoWell(), twowell_space(20))
         assert result.iterations == 929
         expected = {}
         for i in range(21):
             expected[(i, i, i)] = expected[(i, i, i + 10)] = 0.023809523809523808
-        expected[(16, 16, 16)] = 0.02380952380952389
         expected[(20, 20, 30)] = 0.02380952380952378
         assert dict(result.plan.entries) == expected
 
@@ -394,15 +398,77 @@ class TestPivotPath:
         lambda: (Coulomb1D(), coulomb_perturbed_space(12, seed=1)),
         lambda: (TwoWell(), twowell_space(20)),
         lambda: (Coulomb1D(), ProductSpace([_uniform_line([0.0, 0.25, 0.5, 0.75, 1.0])] * 3)),
-    ], ids=["coulomb_perturbed_12", "twowell_20", "coulomb_equal_5"])
+        lambda: (Coulomb1D(), ProductSpace([_uniform_line(np.linspace(0.0, 1.0, 9))] * 3)),
+    ], ids=["coulomb_perturbed_12", "twowell_20", "coulomb_equal_5", "coulomb_equal_9"])
     def test_path_independent_of_refactor_interval(self, monkeypatch, make):
         # A fresh inverse on every pivot walks the same path as the updates.
+        # coulomb_equal_9 has a phase-2 pivot where a held artificial leaves.
         model, space = make()
         updated = solve_exact(model, space)
         monkeypatch.setattr(solver, "_REFACTOR", 1)
         fresh = solve_exact(model, space)
         assert fresh.iterations == updated.iterations
         assert fresh.plan.support() == updated.plan.support()
+
+
+class TestZeroLevelArtificials:
+    """Artificials that phase 1 leaves basic at zero stay at zero in phase 2."""
+
+    def test_held_artificial_leaves_instead_of_growing(self):
+        # Phase 1 ends with a basic zero-level artificial here.  Without the
+        # hold rule a phase-2 pivot lifts it to 0.15 and the plan loses mass.
+        m1 = DiscreteMarginal(np.arange(4.0), np.full(4, 3 / 12))
+        m2 = DiscreteMarginal(np.arange(5.0), np.array([2, 3, 1, 1, 3]) / 10)
+        space = ProductSpace([m1, m2])
+        inf = math.inf
+        costs = np.array([[inf, 1, 2, 2, inf], [inf, 2, 0, inf, 1],
+                          [1, 1, 1, 0, 1], [inf, 1, inf, inf, inf]])
+        model = Tabulated(costs, space)
+        result = solve_exact(model, space)
+        assert result.primal_value == pytest.approx(1.2, abs=1e-12)
+        assert result.primal_value == pytest.approx(
+            brute_force_value_n2(costs, m1.weights, m2.weights), abs=1e-12)
+        _check_result(model, space, result.plan, result.duals, result.primal_value,
+                      result.dual_value, solver.TOL_DUAL)
+
+    @settings(max_examples=60)
+    @given(st.lists(st.integers(2, 5), min_size=2, max_size=4).flatmap(
+        lambda shape: st.tuples(
+            st.tuples(*[st.lists(st.integers(1, 3), min_size=k, max_size=k) for k in shape]),
+            # codes 3 and 4 are +inf: about 40% of the cells
+            arrays(np.int64, tuple(shape), elements=st.integers(0, 4)),
+        )))
+    def test_degenerate_lps_agree_with_highs(self, case):
+        weights, codes = case
+        space = ProductSpace([DiscreteMarginal(np.arange(len(w)) / len(w),
+                                               np.array(w) / sum(w)) for w in weights])
+        costs = np.where(codes > 2, math.inf, codes.astype(float))
+        cells = np.argwhere(np.isfinite(costs))
+        offsets = np.cumsum([0] + list(space.shape[:-1]))
+        A = np.zeros((sum(space.shape), len(cells)))
+        for a in range(space.n):
+            A[offsets[a] + cells[:, a], np.arange(len(cells))] = 1.0
+        b = np.concatenate([ax.weights for ax in space.axes])
+        model = Tabulated(costs, space)
+        reference = linprog(costs[tuple(cells.T)], A_eq=A, b_eq=b, bounds=(0, None),
+                            method="highs") if cells.size else None
+        if reference is None or reference.status == 2:  # infeasible
+            with pytest.raises(InfeasibleTransportError):
+                solve_exact(model, space)
+            return
+        assert reference.status == 0
+        result = solve_exact(model, space)
+        assert abs(result.primal_value - reference.fun) <= 1e-9 * (1 + abs(reference.fun))
+        assert is_vertex(result.plan).is_extremal
+
+
+@pytest.mark.parametrize("n, N", [(3, 3), (3, 6), (3, 9), (3, 12), (3, 15),
+                                  (4, 4), (4, 8), (5, 5)])
+def test_equal_coulomb_meets_the_closed_form(n, N):
+    """Colombo-De Pascale-Di Marino: for n | N the cyclic map of order n is optimal."""
+    space = ProductSpace([_uniform_line(np.linspace(0.0, 1.0, N))] * n)
+    closed_form = (N - 1) * (n / N) * sum((n - g) / g for g in range(1, n))
+    assert abs(solve_exact(Coulomb1D(), space).primal_value - closed_form) <= 1e-12 * closed_form
 
 
 class TestLpTables:
@@ -413,19 +479,18 @@ class TestLpTables:
         space = ProductSpace([random_rational_marginal(rng, k) for k in (4, 3, 5)])
         costs = rng.uniform(0.0, 1.0, size=space.shape)
         costs[rng.uniform(size=space.shape) < 0.3] = math.inf
-        self.lp = _Lp(Tabulated(costs, space), space)
-        # the last point of the last axis is dropped at build; drop two more
-        self.lp.drop_rows({1, 6})
-        lp = self.lp
+        self.lp = lp = _Lp(Tabulated(costs, space), space)
+        # row q is point q - offsets[a] of axis a; the last point of the last
+        # axis has no row
         self.A = np.zeros((lp.m, len(lp.cells)))
-        for r, q in enumerate(np.flatnonzero(lp.keep)):
+        for q in range(lp.m):
             a = np.searchsorted(lp.offsets, q, side="right") - 1
-            self.A[r] = lp.cells[:, a] == q - lp.offsets[a]
+            self.A[q] = lp.cells[:, a] == q - lp.offsets[a]
         self.rng = rng
 
     def test_table_covers_finite_cells_and_kept_rows(self):
         assert len(self.lp.cells) < 4 * 3 * 5
-        assert self.lp.m == 4 + 3 + 5 - 3
+        assert self.lp.m == 4 + 3 + 5 - 1
 
     def test_axis_sums_match_dense_product(self):
         for _ in range(5):
