@@ -100,7 +100,7 @@ class DiscreteMarginal:
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > MASS_TOL:
             raise ValueError(f"weights must sum to 1 (got {w.sum()!r})")
-        if len({pt.tobytes() for pt in pts}) != pts.shape[0]:
+        if len({pt.tobytes() for pt in pts + 0.0}) != pts.shape[0]:  # + 0.0 maps -0.0 to 0.0
             raise ValueError("points must be pairwise distinct")
         pts.setflags(write=False)
         w.setflags(write=False)
@@ -266,15 +266,6 @@ class DualPotentials:
             v.setflags(write=False)
             vals.append(v)
         self.values = tuple(vals)
-
-    def grid_sum(self, shape: Sequence[int]) -> np.ndarray:
-        """sum_i u_i(x_i) on a grid of ``shape``, added axis by axis from 0.0."""
-        total = np.zeros(shape)
-        for j, u in enumerate(self.values):
-            axis_shape = [1] * len(shape)
-            axis_shape[j] = -1
-            total = total + u.reshape(axis_shape)
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +627,25 @@ def cost_tensor(model: CostModel, space: ProductSpace) -> np.ndarray:
     return grid
 
 
-def _splitting_slack(model: CostModel, space: ProductSpace, duals: DualPotentials):
+def _potential_sum(vectors: Sequence[np.ndarray], index) -> np.ndarray:
+    """sum_a ``vectors[a][index[a]]``; the indexed terms broadcast.
+
+    The terms are added axis by axis starting from 0.0.  This one order of
+    additions fixes the bits of every potential sum: the splitting slack,
+    the certificate, the c-conjugate and the simplex's reduced costs.
+    """
+    total = 0.0
+    for u, rows in zip(vectors, index):
+        total = total + u[rows]
+    return total
+
+
+def _splitting_slack(model: CostModel, space: ProductSpace, potentials: Sequence[np.ndarray]):
     """The grid and the slack c - sum_i u_i on it, +inf on every excluded cell."""
     values = cost_tensor(model, space)
-    return values, values - duals.grid_sum(space.shape)
+    # u[axes[a]] views u along grid axis a: np.ix_'s open grid without its gathers
+    axes = [(None,) * a + (slice(None),) + (None,) * (space.n - 1 - a) for a in range(space.n)]
+    return values, values - _potential_sum(potentials, axes)
 
 
 def cost_at(model: CostModel, space: ProductSpace, cells) -> np.ndarray:

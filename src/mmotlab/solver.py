@@ -12,14 +12,17 @@ would move leaves at step 0.  The method returns a vertex plan together with
 optimal dual potentials.
 
 The constraint matrix is never formed: one integer table holds the row of
-every finite cell on every axis, and columns, pricing sums and the basis
-matrix are gathered from it.  The simplex keeps the explicit basis inverse.
-Each pivot replaces the leaving row by a rank-one update, and every
-``_REFACTOR`` pivots the inverse is computed afresh from the basis matrix.
-At optimality the inverse is recomputed and the basis re-priced, so the
-returned basic values and duals carry no update drift.  The entering tie
-tolerance keeps the pivot path a property of the LP rather than of the last
-bits of that arithmetic.
+every finite cell on every axis.  Columns are gathered from it, and the
+reduced costs of all cells are priced through ``_potential_sum`` on it.
+The basis matrix starts as the identity of the all-artificial basis; each
+pivot writes its entering column into it, and phase 2 continues from the
+matrix and the inverse that phase 1 left.  The simplex keeps the explicit
+basis inverse.  Each pivot replaces the leaving row by a rank-one update,
+and every ``_REFACTOR`` pivots the inverse is computed afresh from the
+basis matrix.  At optimality the inverse is recomputed and the basis
+re-priced, so the returned basic values and duals carry no update drift.
+The entering tie tolerance keeps the pivot path a property of the LP rather
+than of the last bits of that arithmetic.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .core import (
     InternalConsistencyError,
     InvalidCertificateError,
     ProductSpace,
+    _potential_sum,
     _splitting_slack,
     cost_tensor,
 )
@@ -87,6 +91,13 @@ class _Lp:
         self.b = self.weights[:-1]
         self.cell_rows = (self.cells + self.offsets).T
 
+        # Simplex state, kept across both phases.  Column ncells + r is the
+        # artificial unit column of row r; the start basis is all artificial.
+        self.basis = [len(self.cells) + r for r in range(self.m)]
+        self.in_basis = np.zeros(len(self.cells), dtype=bool)
+        self.B = np.eye(self.m)
+        self.B_inv = np.eye(self.m)
+
     def infeasible(self, message: str) -> InfeasibleTransportError:
         """The error to raise, certified by the grid's +inf cells."""
         excluded = np.argwhere(~np.isfinite(self.values)).tolist()
@@ -97,27 +108,6 @@ class _Lp:
         col[self.cell_rows[:, j]] = 1.0
         return col[:-1]
 
-    def axis_sums(self, per_row: np.ndarray) -> np.ndarray:
-        """For each cell j, the sum of ``per_row`` over the rows of column j."""
-        padded = np.append(per_row, 0.0)  # the sentinel row contributes 0
-        total = np.zeros(self.cell_rows.shape[1])
-        # axis by axis from 0.0: this order of additions fixes the bits of
-        # every reduced cost, and so the entering choice
-        for rows in self.cell_rows:
-            total += padded[rows]
-        return total
-
-
-def _basis_matrix(lp: _Lp, basis: list[int]) -> np.ndarray:
-    """Dense basis matrix; entries ``>= ncells`` are artificial unit columns."""
-    basis = np.asarray(basis)
-    structural = basis < len(lp.cells)
-    k = np.arange(lp.m)
-    B = np.zeros((lp.m + 1, lp.m))  # the last row absorbs the sentinel row
-    B[lp.cell_rows[:, basis[structural]], k[structural]] = 1.0
-    B[basis[~structural] - len(lp.cells), k[~structural]] = 1.0
-    return B[:-1]
-
 
 def _inverse(B: np.ndarray) -> np.ndarray:
     """Inverse of the basis matrix; a singular basis is an internal fault."""
@@ -127,11 +117,11 @@ def _inverse(B: np.ndarray) -> np.ndarray:
         raise InternalConsistencyError(f"singular basis matrix ({exc})") from None
 
 
-def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray,
-             art_cost: float) -> tuple[np.ndarray, np.ndarray]:
+def _simplex(lp: _Lp, costs: np.ndarray, art_cost: float) -> tuple[np.ndarray, np.ndarray]:
     """Pivot to optimality; returns the final basic values and row duals.
 
-    ``basis`` is updated in place.  Entering column: most negative reduced
+    The basis state of ``lp`` is updated in place, and the fresh inverse is
+    stored before returning.  Entering column: most negative reduced
     cost, the lowest index among those within ``1e-12 * (1 + |min|)`` of
     it, with Bland's lowest index after ``_BLAND_STREAK`` degenerate pivots
     in a row; leaving row: minimum ratio, ties to the lowest basic column
@@ -140,10 +130,7 @@ def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray,
     In phase 2 (``art_cost == 0``) basic artificials are held at zero.
     """
     ncells = len(lp.cells)
-    in_basis = np.zeros(ncells, dtype=bool)
-    in_basis[[v for v in basis if v < ncells]] = True
-    B = _basis_matrix(lp, basis)
-    B_inv = _inverse(B)
+    basis, in_basis, B, B_inv = lp.basis, lp.in_basis, lp.B, lp.B_inv
     updates = 0
     c_b = np.array([costs[v] if v < ncells else art_cost for v in basis])
     held = [r for r, v in enumerate(basis) if v >= ncells] if art_cost == 0 else []
@@ -158,10 +145,12 @@ def _simplex(lp: _Lp, basis: list[int], costs: np.ndarray,
             raise InternalConsistencyError("simplex iteration budget exhausted")
         x_b = B_inv @ lp.b
         y = c_b @ B_inv
-        rc = costs - lp.axis_sums(y)
+        padded = np.append(y, 0.0)  # the sentinel row contributes 0
+        rc = costs - _potential_sum([padded] * len(lp.cell_rows), lp.cell_rows)
         candidates = np.flatnonzero((rc < -_TOL_PIVOT) & ~in_basis)
         if candidates.size == 0:
             if updates == 0:
+                lp.B_inv = B_inv
                 return x_b, y
             B_inv, updates = _inverse(B), 0  # re-price without update drift
             continue
@@ -217,21 +206,20 @@ def solve_exact(model: CostModel, space: ProductSpace, tol_dual: float = TOL_DUA
     ncells = len(lp.cells)
 
     # Phase 1: artificial start.
-    basis = [ncells + r for r in range(lp.m)]
-    x_b, _ = _simplex(lp, basis, np.zeros(ncells), 1.0)
-    infeas = math.fsum(x for v, x in zip(basis, x_b) if v >= ncells and x > 0)
+    x_b, _ = _simplex(lp, np.zeros(ncells), 1.0)
+    infeas = math.fsum(x for v, x in zip(lp.basis, x_b) if v >= ncells and x > 0)
     if infeas > 1e-9:
         raise lp.infeasible(f"no finite-cost coupling matches the marginals "
                             f"(phase-1 residual {infeas:.3e})")
 
     # Phase 2: optimize the true cost; plan and duals come from its last basis.
-    x_b, y = _simplex(lp, basis, lp.costs, 0.0)
-    residual = max((x for v, x in zip(basis, x_b) if v >= ncells), default=0.0)
+    x_b, y = _simplex(lp, lp.costs, 0.0)
+    residual = max((x for v, x in zip(lp.basis, x_b) if v >= ncells), default=0.0)
     if residual > 1e-12:
         raise InternalConsistencyError(f"basic artificial at {residual:.3e} after phase 2")
 
     plan = Coupling({tuple(lp.cells[v].tolist()): float(x)
-                     for v, x in zip(basis, x_b) if v < ncells and x > 1e-14}, space)
+                     for v, x in zip(lp.basis, x_b) if v < ncells and x > 1e-14}, space)
     duals = DualPotentials(np.split(np.append(y, 0.0), lp.offsets[1:]))
 
     primal = plan.transport_cost(model)
@@ -254,7 +242,7 @@ def _dual_value(duals: DualPotentials, space: ProductSpace) -> float:
 def _feasible_slack(model, space, duals, tol_dual):
     """The grid and the slack c - sum u on it; raises ``InvalidCertificateError``
     unless max(sum u - c) over the finite cells is at most tol_dual * (1 + max|c|)."""
-    values, slack = _splitting_slack(model, space, duals)
+    values, slack = _splitting_slack(model, space, duals.values)
     worst = -slack.min()  # max(sum u - c) over the finite cells, bit for bit
     scale = np.max(np.abs(values), where=np.isfinite(values), initial=0.0)
     if worst > tol_dual * (1.0 + scale):
@@ -308,19 +296,9 @@ def c_conjugate_update(
     """
     if not 0 <= i < space.n:
         raise ValueError(f"axis index {i} out of range")
-    # The potentials are subtracted from c one at a time, not as one
-    # DualPotentials.grid_sum: (c - u_a) - u_b rounds differently from
-    # c - (u_a + u_b), and the conjugate keeps the former.
-    values = cost_tensor(model, space)
-    for j, u in enumerate(potentials.values):
-        if j == i:
-            continue
-        shape = [1] * space.n
-        shape[j] = -1
-        with np.errstate(invalid="ignore"):
-            values = values - u.reshape(shape)
-    other_axes = tuple(a for a in range(space.n) if a != i)
-    mins = np.min(values, axis=other_axes)
+    others = [np.zeros(space.shape[i]) if j == i else u for j, u in enumerate(potentials.values)]
+    _, slack = _splitting_slack(model, space, others)
+    mins = np.min(slack, axis=tuple(a for a in range(space.n) if a != i))
     undefined = [int(k) for k in np.flatnonzero(~np.isfinite(mins))]
     return ConjugateUpdate(mins, undefined)
 

@@ -58,7 +58,7 @@ def splitting_support(
     Raises ``InvalidCertificateError`` if some cell has a negative defect
     beyond tolerance (the potentials would not be admissible).
     """
-    _, slack = _splitting_slack(model, space, duals)
+    _, slack = _splitting_slack(model, space, duals.values)
     worst = float(slack.min())
     if worst < -tol_split:
         raise InvalidCertificateError(f"potentials overshoot the cost by {-worst:.3e}")

@@ -136,6 +136,16 @@ class TestExitCodes:
         assert main(["solve", *_marg_args([str(bad), *paths[1:]]), "--cost", "coulomb1d"]) == 1
         assert "weights must be finite" in capsys.readouterr().err
 
+    def test_signed_zero_points_are_a_usage_error(self, triple_files, tmp_path, capsys):
+        paths, _ = triple_files
+        bad = tmp_path / "signed_zero.json"
+        bad.write_text(json.dumps(
+            {"d": 1, "points": [[0.0], [-0.0], [1.0]], "weights": [0.25, 0.25, 0.5]}
+        ))
+        assert main(["solve", *_marg_args([str(bad)] * 3), "--cost", "coulomb1d"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"mmotlab: error: {bad}: ") and "pairwise distinct" in err
+
     @pytest.mark.parametrize("name, flag", [
         ("twowell-extremal", "--grid-size"),
         ("coulomb-equal", "--seed"),
@@ -294,6 +304,15 @@ class TestReports:
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("(4,2,0)") == 5
+
+    @pytest.mark.parametrize("command, cost, key", [
+        ("signature", "coulomb1d", "signatures"),
+        ("criterion3", "xyz", "samples"),
+    ])
+    def test_one_dimensional_samples(self, command, cost, key, tmp_path):
+        out = tmp_path / "r.json"
+        assert main([command, "--cost", cost, "--samples", "3", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["payload"][key]) == 3
 
     def test_decompose_and_extremal(self, triple_files, tmp_path):
         paths, space = triple_files

@@ -19,7 +19,14 @@ from mmotlab import (
     make_cost,
     solve_exact,
 )
-from mmotlab.core import BUILTIN_COSTS, CostModel, InternalConsistencyError, cost_at, cost_tensor
+from mmotlab.core import (
+    BUILTIN_COSTS,
+    CostModel,
+    InternalConsistencyError,
+    _potential_sum,
+    cost_at,
+    cost_tensor,
+)
 from mmotlab.experiments import coulomb_perturbed_space
 
 
@@ -73,6 +80,10 @@ class TestDiscreteMarginal:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             DiscreteMarginal([0.0, 0.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="distinct"):
+            DiscreteMarginal([0.0, -0.0, 1.0], [0.25, 0.25, 0.5])
+        with pytest.raises(ValueError, match="distinct"):
+            DiscreteMarginal([[1.0, 0.0], [1.0, -0.0]], [0.5, 0.5])
 
     def test_nan_weight_rejected(self):
         # NaN slips past both the sign and the sum checks
@@ -186,10 +197,10 @@ class TestDualPotentials:
         with pytest.raises(ValueError):
             DualPotentials([np.array([math.inf, 0.0])])
 
-    def test_grid_sum_adds_axis_by_axis(self, rng):
+    def test_potential_sum_adds_axis_by_axis(self, rng):
         u = [rng.normal(size=s) for s in (3, 4, 2)]
         u[1][2] = -math.inf
-        total = DualPotentials(u).grid_sum((3, 4, 2))
+        total = _potential_sum(DualPotentials(u).values, np.ix_(range(3), range(4), range(2)))
         expected = ((0.0 + u[0][:, None, None]) + u[1][None, :, None]) + u[2][None, None, :]
         assert total.shape == (3, 4, 2)
         assert total.tobytes() == expected.tobytes()

@@ -77,6 +77,21 @@ class TestHessian:
                 if i != j:
                     assert np.allclose(hess.blocks[i][j], -np.eye(2), atol=1e-12)
 
+    def test_userhook_with_twowell_callbacks_matches_twowell(self):
+        model = TwoWell()
+        hook = UserHook(model.value, n=3, grad_fn=model.grad, hess_fn=model.mixed_hessian)
+        assert hook.has_analytic_derivatives
+        point = ([0.1], [0.7], [0.4])
+        expected = hessian_offdiag(model, point).assembled
+        assert hessian_offdiag(hook, point).assembled.tobytes() == expected.tobytes()
+
+    def test_userhook_with_only_a_gradient_has_no_hessian(self):
+        model = TwoWell()
+        hook = UserHook(model.value, n=3, grad_fn=model.grad)
+        assert not hook.has_analytic_derivatives
+        with pytest.raises(NotImplementedError):
+            hook.mixed_hessian(0, 2, model.check_point(([0.1], [0.7], [0.4])))
+
     def test_assembled_symmetry_on_random_points(self):
         rng = np.random.default_rng(5)
         for model in (Coulomb1D(), ExpCos(), ProductXYZ(), TwoWell()):

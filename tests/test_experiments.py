@@ -99,6 +99,8 @@ class TestRunExperiment:
             "coulomb-equal",
             "coulomb-unequal",
             "coulomb-sharpness-search",
+            "xyz-unique",
+            "twowell-extremal",
             "expcos-signature",
             "symmetric-witness",
         ],

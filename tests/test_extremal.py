@@ -189,6 +189,19 @@ class TestCheckThm41:
         assert not report.hypothesis_ii
         assert any(f[0] == "K_ranges_overlap" for f in report.failures)
 
+    def test_non_injective_k_and_cyclic_theta_fail(self):
+        space = self._space(3, 3, 3)
+        maps = [
+            ({0: 0, 1: 1, 2: 2}, {0: 0, 1: 1, 2: 2}),
+            # K sends two points to 1, and x2 = 1 then asks for theta(1) > theta(1)
+            ({0: 1, 1: 0, 2: 2}, {0: 1, 1: 1, 2: 0}),
+        ]
+        report = check_thm41(space, maps)
+        assert report.hypothesis_i
+        assert not report.hypothesis_ii and not report.hypothesis_iii
+        assert report.theta is None
+        assert report.failures == (("K_not_injective", 1), ("theta_infeasible", (1,)))
+
     def test_explicit_theta_strictness(self):
         space = self._space()
         maps = [

@@ -27,9 +27,9 @@ from mmotlab import (
     splitting_support,
 )
 from mmotlab import solver
-from mmotlab.core import InternalConsistencyError, cost_tensor, eval_cost
+from mmotlab.core import InternalConsistencyError, _potential_sum, cost_tensor, eval_cost
 from mmotlab.experiments import coulomb_perturbed_space, twowell_space
-from mmotlab.solver import _basis_matrix, _check_result, _inverse, _Lp
+from mmotlab.solver import _check_result, _inverse, _Lp, _simplex
 
 from conftest import brute_force_value_n2, random_rational_marginal
 
@@ -204,6 +204,23 @@ class TestConjugateUpdate:
         update = c_conjugate_update(Tabulated(costs, space), space, duals, 0)
         assert update.undefined == [0]
         assert update.values[1] == 0.0
+
+    def test_minus_inf_potential_matches_sequential_subtraction(self):
+        rng = np.random.default_rng(11)
+        space = ProductSpace([random_rational_marginal(rng, k) for k in (3, 4, 5)])
+        costs = rng.uniform(-1.0, 1.0, size=space.shape)
+        costs[rng.uniform(size=space.shape) < 0.3] = math.inf
+        costs[2] = math.inf  # an axis-0 point with no finite competitor
+        u = [rng.uniform(-1.0, 1.0, size=k) for k in space.shape]
+        u[1][2] = -math.inf
+        model = Tabulated(costs, space)
+        update = c_conjugate_update(model, space, DualPotentials(u), 0)  # a warning would fail
+        # the reference subtracts the other potentials from c one at a time
+        expected = ((costs - u[1][None, :, None]) - u[2][None, None, :]).min(axis=(1, 2))
+        assert np.array_equal(np.isposinf(update.values), np.isposinf(expected))
+        assert update.undefined == [2]
+        finite = np.isfinite(expected)
+        np.testing.assert_allclose(update.values[finite], expected[finite], rtol=1e-14, atol=0)
 
     def test_axis_out_of_range(self):
         m = DiscreteMarginal([0.0, 1.0], [0.5, 0.5])
@@ -492,29 +509,36 @@ class TestLpTables:
         assert len(self.lp.cells) < 4 * 3 * 5
         assert self.lp.m == 4 + 3 + 5 - 1
 
-    def test_axis_sums_match_dense_product(self):
+    def test_potential_sum_matches_dense_product(self):
+        lp = self.lp
         for _ in range(5):
-            y = self.rng.uniform(-1.0, 1.0, size=self.lp.m)
-            np.testing.assert_allclose(self.lp.axis_sums(y), self.A.T @ y, rtol=0, atol=1e-14)
+            y = self.rng.uniform(-1.0, 1.0, size=lp.m)
+            padded = np.append(y, 0.0)  # the sentinel row contributes 0
+            total = _potential_sum([padded] * len(lp.cell_rows), lp.cell_rows)
+            np.testing.assert_allclose(total, self.A.T @ y, rtol=0, atol=1e-14)
 
     def test_columns_match_dense_matrix(self):
         for j in range(len(self.lp.cells)):
             assert np.array_equal(self.lp.column(j), self.A[:, j])
 
-    def test_basis_matrix_matches_column_reference(self):
+    def test_phase_one_basis_matches_column_reference(self):
         lp, ncells = self.lp, len(self.lp.cells)
-        basis = list(self.rng.permutation(ncells)[: lp.m])
-        basis[::2] = [ncells + r for r in range(0, lp.m, 2)]  # artificial columns
+        assert np.array_equal(lp.B, np.eye(lp.m)) and np.array_equal(lp.B_inv, np.eye(lp.m))
+        _simplex(lp, np.zeros(ncells), 1.0)
+        assert lp.pivots > 0 and any(v < ncells for v in lp.basis)
         reference = np.column_stack([
-            lp.column(v) if v < ncells else np.eye(lp.m)[v - ncells] for v in basis
+            lp.column(v) if v < ncells else np.eye(lp.m)[v - ncells] for v in lp.basis
         ])
-        assert np.array_equal(_basis_matrix(lp, basis), reference)
+        assert np.array_equal(lp.B, reference)
+        # phase 2 starts from this inverse, so it must be the fresh one
+        assert lp.B_inv.tobytes() == _inverse(reference).tobytes()
+        assert np.array_equal(lp.in_basis, np.isin(np.arange(ncells), lp.basis))
 
     def test_singular_basis_raises(self):
         lp = self.lp
-        basis = [0, 0] + [len(lp.cells) + r for r in range(2, lp.m)]
+        B = np.column_stack([lp.column(0), lp.column(0), *np.eye(lp.m)[2:]])
         with pytest.raises(InternalConsistencyError, match="singular"):
-            _inverse(_basis_matrix(lp, basis))
+            _inverse(B)
 
 
 def test_check_result_rejects_duals_infeasible_off_the_support():
