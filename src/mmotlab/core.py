@@ -627,16 +627,19 @@ def cost_tensor(model: CostModel, space: ProductSpace) -> np.ndarray:
     return grid
 
 
-def _potential_sum(vectors: Sequence[np.ndarray], index) -> np.ndarray:
+def _potential_sum(vectors: Sequence[np.ndarray], index, out=None) -> np.ndarray:
     """sum_a ``vectors[a][index[a]]``; the indexed terms broadcast.
 
     The terms are added axis by axis starting from 0.0.  This one order of
     additions fixes the bits of every potential sum: the splitting slack,
     the certificate, the c-conjugate and the simplex's reduced costs.
+    ``out``, if given, holds one buffer per term, shaped as the sum of the
+    terms up to it; the last one is returned.  A caller that sums often
+    allocates them once.
     """
     total = 0.0
-    for u, rows in zip(vectors, index):
-        total = total + u[rows]
+    for a, (u, rows) in enumerate(zip(vectors, index)):
+        total = np.add(total, u[rows], out=None if out is None else out[a])
     return total
 
 
@@ -649,6 +652,14 @@ def _splitting_slack(model: CostModel, space: ProductSpace, potentials: Sequence
 
 
 def cost_at(model: CostModel, space: ProductSpace, cells) -> np.ndarray:
-    """Cost values at the grid cells given as a (K, n) index array."""
+    """Cost values at the grid cells given as a (K, n) index array.
+
+    They are read from the held grid when ``cost_tensor`` holds the one of
+    these model and space objects, and evaluated at the cells otherwise.
+    Both give the same bits.
+    """
     cells = np.asarray(cells, dtype=np.intp).reshape(-1, space.n)
+    last_model, last_space, grid = _last_grid
+    if last_model is model and last_space is space:
+        return grid[tuple(cells.T)]
     return _evaluate(model, space, [ax.points[cells[:, a]] for a, ax in enumerate(space.axes)])

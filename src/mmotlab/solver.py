@@ -1,28 +1,17 @@
 """Exact solution of the discrete multi-marginal Kantorovich LP.
 
-The LP is solved by a two-phase revised primal simplex.  Entering column:
-most negative reduced cost, ties within a relative 1e-12 going to the lowest
-column index, falling back to Bland's lowest-index rule during degenerate
-stalls so cycling is impossible; leaving row: minimum ratio, ties broken by
-lowest basic column index.  One constraint row per axis point, the
-redundant last point of the last axis excepted; +inf cells are removed
-before the matrix is built.  Rows never change after that: phase 2 holds each
-artificial that phase 1 left basic at zero, and one that an entering column
-would move leaves at step 0.  The method returns a vertex plan together with
-optimal dual potentials.
-
-The constraint matrix is never formed: one integer table holds the row of
-every finite cell on every axis.  Columns are gathered from it, and the
-reduced costs of all cells are priced through ``_potential_sum`` on it.
-The basis matrix starts as the identity of the all-artificial basis; each
-pivot writes its entering column into it, and phase 2 continues from the
-matrix and the inverse that phase 1 left.  The simplex keeps the explicit
-basis inverse.  Each pivot replaces the leaving row by a rank-one update,
-and every ``_REFACTOR`` pivots the inverse is computed afresh from the
-basis matrix.  At optimality the inverse is recomputed and the basis
-re-priced, so the returned basic values and duals carry no update drift.
-The entering tie tolerance keeps the pivot path a property of the LP rather
-than of the last bits of that arithmetic.
+A two-phase revised primal simplex returns a vertex plan together with
+optimal dual potentials; ``_simplex`` states its entering and leaving rules.
+There is one constraint row per axis point, the redundant last point of the
+last axis excepted, and the rows never change: phase 2 holds each artificial
+that phase 1 left basic at zero.  The constraint matrix is never formed.
+Column j is cell j of the cost grid in C order; its rows follow from j by a
+divmod over the grid shape, and a +inf cell prices at +inf, so it never
+enters.  Each pricing pass sums the row duals over the whole grid in one
+broadcast through ``_potential_sum``, into buffers allocated once per solve.
+Both phases share one basis matrix and its explicit inverse, which a rank-one
+step updates per pivot and which is recomputed every ``_REFACTOR`` pivots and
+at optimality, so the returned values and duals carry no update drift.
 """
 
 from __future__ import annotations
@@ -53,6 +42,8 @@ _MAX_ITER = 500_000
 _BLAND_STREAK = 30
 #: pivots between fresh basis inverses; the pivots in between update it
 _REFACTOR = 64
+#: the largest float below -_TOL_PIVOT: ``rc <= _BELOW_TOL`` is ``rc < -_TOL_PIVOT``
+_BELOW_TOL = float(np.nextafter(-_TOL_PIVOT, -math.inf))
 
 
 @dataclass(frozen=True)
@@ -72,31 +63,35 @@ class SolveResult:
 
 
 class _Lp:
-    """Workspace for one solve: rows, finite cells, and the simplex state."""
+    """Workspace for one solve: rows, columns, pricing buffers and the simplex state.
+
+    Column j < ``size`` is grid cell j in C order (``np.argwhere``'s order),
+    column ``size + r`` the artificial of row r.  Point p of axis a is row
+    ``offsets[a] + p``; the last point of the last axis is the sentinel row m,
+    which the other rows imply.  Only ``column`` and ``price`` know this layout.
+    """
 
     def __init__(self, model: CostModel, space: ProductSpace):
         self.values = cost_tensor(model, space)
-        self.cells = np.argwhere(np.isfinite(self.values))  # (ncells, n), lexicographic
-        if self.cells.size == 0:
+        self.costs = self.values.ravel()
+        if not np.isfinite(self.costs).any():
             raise self.infeasible("every grid cell has infinite cost")
-        self.costs = self.values[tuple(self.cells.T)]
-        self.weights = np.concatenate([ax.weights for ax in space.axes])
-        self.pivots = 0
-
-        # Point p of axis a is row offsets[a] + p; the last point of the last
-        # axis is the sentinel row m, whose equation the others imply.
-        # cell_rows[a, j] is the row of cell j's axis-a point.
+        self.shape, self.size, self.pivots = space.shape, self.costs.size, 0
         self.offsets = np.cumsum((0, *space.shape[:-1]))
-        self.m = len(self.weights) - 1
-        self.b = self.weights[:-1]
-        self.cell_rows = (self.cells + self.offsets).T
-
-        # Simplex state, kept across both phases.  Column ncells + r is the
-        # artificial unit column of row r; the start basis is all artificial.
-        self.basis = [len(self.cells) + r for r in range(self.m)]
-        self.in_basis = np.zeros(len(self.cells), dtype=bool)
-        self.B = np.eye(self.m)
-        self.B_inv = np.eye(self.m)
+        self.b = np.concatenate([ax.weights for ax in space.axes])[:-1]
+        self.m, n = len(self.b), space.n
+        # Pricing: the row duals padded with the sentinel's 0, the index that
+        # views them along grid axis a, and a buffer per partial sum, the last
+        # of which holds the reduced costs.
+        self.y = np.zeros(self.m + 1)
+        self.axes = [(None,) * a + (slice(o, o + k),) + (None,) * (n - 1 - a)
+                     for a, (o, k) in enumerate(zip(self.offsets, self.shape))]
+        self.sums = [np.empty(self.shape[:a + 1] + (1,) * (n - 1 - a)) for a in range(n)]
+        self.rc = self.sums[-1].reshape(-1)
+        # Simplex state, kept across both phases, from the all-artificial basis.
+        self.basis = [self.size + r for r in range(self.m)]
+        self.in_basis = np.zeros(self.size, dtype=bool)
+        self.B, self.B_inv = np.eye(self.m), np.eye(self.m)
 
     def infeasible(self, message: str) -> InfeasibleTransportError:
         """The error to raise, certified by the grid's +inf cells."""
@@ -105,8 +100,18 @@ class _Lp:
 
     def column(self, j: int) -> np.ndarray:
         col = np.zeros(self.m + 1)
-        col[self.cell_rows[:, j]] = 1.0
+        for o, k in zip(self.offsets[::-1].tolist(), self.shape[::-1]):
+            j, p = divmod(j, k)
+            col[o + p] = 1.0
         return col[:-1]
+
+    def price(self, costs: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Reduced costs of every grid column for row duals ``y``, 0 on basic ones."""
+        self.y[:-1] = y
+        _potential_sum([self.y] * len(self.axes), self.axes, out=self.sums)  # into rc
+        np.subtract(costs, self.rc, out=self.rc)
+        np.copyto(self.rc, 0.0, where=self.in_basis)
+        return self.rc
 
 
 def _inverse(B: np.ndarray) -> np.ndarray:
@@ -125,15 +130,15 @@ def _simplex(lp: _Lp, costs: np.ndarray, art_cost: float) -> tuple[np.ndarray, n
     cost, the lowest index among those within ``1e-12 * (1 + |min|)`` of
     it, with Bland's lowest index after ``_BLAND_STREAK`` degenerate pivots
     in a row; leaving row: minimum ratio, ties to the lowest basic column
-    index.  The basis inverse gets a rank-one update per pivot and is
-    recomputed every ``_REFACTOR`` pivots and before optimality is accepted.
-    In phase 2 (``art_cost == 0``) basic artificials are held at zero.
+    index.  The tie tolerance keeps the pivot path a property of the LP, not
+    of the last bits of the rank-one updates.  In phase 2 (``art_cost == 0``)
+    basic artificials are held at zero, and one that would move leaves at step 0.
     """
-    ncells = len(lp.cells)
+    size = lp.size
     basis, in_basis, B, B_inv = lp.basis, lp.in_basis, lp.B, lp.B_inv
     updates = 0
-    c_b = np.array([costs[v] if v < ncells else art_cost for v in basis])
-    held = [r for r, v in enumerate(basis) if v >= ncells] if art_cost == 0 else []
+    c_b = np.array([costs[v] if v < size else art_cost for v in basis])
+    held = [r for r, v in enumerate(basis) if v >= size] if art_cost == 0 else []
 
     # Entering rule: steepest (most negative reduced cost) while progress is
     # being made; a streak of degenerate pivots switches to Bland's
@@ -145,21 +150,18 @@ def _simplex(lp: _Lp, costs: np.ndarray, art_cost: float) -> tuple[np.ndarray, n
             raise InternalConsistencyError("simplex iteration budget exhausted")
         x_b = B_inv @ lp.b
         y = c_b @ B_inv
-        padded = np.append(y, 0.0)  # the sentinel row contributes 0
-        rc = costs - _potential_sum([padded] * len(lp.cell_rows), lp.cell_rows)
-        candidates = np.flatnonzero((rc < -_TOL_PIVOT) & ~in_basis)
-        if candidates.size == 0:
+        rc = lp.price(costs, y)
+        low = rc.min()
+        if not low < -_TOL_PIVOT:
             if updates == 0:
                 lp.B_inv = B_inv
                 return x_b, y
             B_inv, updates = _inverse(B), 0  # re-price without update drift
             continue
-        if degenerate_streak < _BLAND_STREAK:
-            rc_c = rc[candidates]
-            low = rc_c.min()
-            e = int(candidates[np.argmax(rc_c <= low + 1e-12 * (1.0 + abs(low)))])
-        else:
-            e = int(candidates[0])  # Bland: lowest index
+        # the first column at or below the limit: Bland's is the candidates' bound itself
+        limit = _BELOW_TOL if degenerate_streak >= _BLAND_STREAK else min(
+            low + 1e-12 * (1.0 + abs(low)), _BELOW_TOL)
+        e = int(np.argmax(rc <= limit))
         col = lp.column(e)
         d = B_inv @ col
         moved = [r for r in held if abs(d[r]) > _TOL_PIVOT]
@@ -168,14 +170,12 @@ def _simplex(lp: _Lp, costs: np.ndarray, art_cost: float) -> tuple[np.ndarray, n
         else:
             pos = np.flatnonzero(d > _TOL_PIVOT)
             if pos.size == 0:
-                raise InternalConsistencyError(
-                    "unbounded direction in a bounded transport LP"
-                )
+                raise InternalConsistencyError("unbounded direction in a bounded transport LP")
             ratios = np.maximum(x_b[pos], 0.0) / d[pos]
             t = ratios.min()
             tie_rows = pos[ratios <= t + 1e-12 * (1.0 + abs(t))]
             leave = min(tie_rows, key=lambda r: basis[r])  # Bland on ties
-        if basis[leave] < ncells:
+        if basis[leave] < size:
             in_basis[basis[leave]] = False
         elif leave in held:
             held.remove(leave)
@@ -203,23 +203,23 @@ def solve_exact(model: CostModel, space: ProductSpace, tol_dual: float = TOL_DUA
     matches the marginals.
     """
     lp = _Lp(model, space)
-    ncells = len(lp.cells)
+    size = lp.size
 
-    # Phase 1: artificial start.
-    x_b, _ = _simplex(lp, np.zeros(ncells), 1.0)
-    infeas = math.fsum(x for v, x in zip(lp.basis, x_b) if v >= ncells and x > 0)
+    # Phase 1: artificial start; +inf cells keep their +inf cost.
+    x_b, _ = _simplex(lp, np.where(np.isfinite(lp.costs), 0.0, math.inf), 1.0)
+    infeas = math.fsum(x for v, x in zip(lp.basis, x_b) if v >= size and x > 0)
     if infeas > 1e-9:
         raise lp.infeasible(f"no finite-cost coupling matches the marginals "
                             f"(phase-1 residual {infeas:.3e})")
 
     # Phase 2: optimize the true cost; plan and duals come from its last basis.
     x_b, y = _simplex(lp, lp.costs, 0.0)
-    residual = max((x for v, x in zip(lp.basis, x_b) if v >= ncells), default=0.0)
+    residual = max((x for v, x in zip(lp.basis, x_b) if v >= size), default=0.0)
     if residual > 1e-12:
         raise InternalConsistencyError(f"basic artificial at {residual:.3e} after phase 2")
 
-    plan = Coupling({tuple(lp.cells[v].tolist()): float(x)
-                     for v, x in zip(lp.basis, x_b) if v < ncells and x > 1e-14}, space)
+    plan = Coupling({np.unravel_index(v, space.shape): float(x)
+                     for v, x in zip(lp.basis, x_b) if v < size and x > 1e-14}, space)
     duals = DualPotentials(np.split(np.append(y, 0.0), lp.offsets[1:]))
 
     primal = plan.transport_cost(model)

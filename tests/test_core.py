@@ -356,9 +356,9 @@ class TestUserHook:
 
         space = _shuffled_space(rng, (3, 4, 2))
         _assert_grid_is_pointwise(UserHook(fn, n=3), space)
-        # once per cell for the tensor, once per cell for eval_cost, once
-        # per cell for cost_at
-        assert len(calls) == 3 * 24
+        # once per cell for the tensor and once per cell for eval_cost;
+        # cost_at reads the held grid
+        assert len(calls) == 2 * 24
         assert all(len(xs) == 3 and all(x.shape == (1,) for x in xs) for xs in calls)
 
 
@@ -387,6 +387,39 @@ class TestGridCache:
         for model in models * 3:
             _assert_grid_is_pointwise(model, space)
 
+    def test_cost_at_reads_the_held_grid(self, rng):
+        calls = [0]
+
+        def fn(xs):
+            calls[0] += 1
+            return float(xs[0][0] * xs[1][0] - xs[2][0])
+
+        model, space = UserHook(fn, n=3), _shuffled_space(rng, (3, 4, 2))
+        grid = cost_tensor(model, space)
+        cells = [(2, 3, 1), (0, 0, 0), (2, 3, 1), (1, 2, 0)]
+        assert cost_at(model, space, cells).tolist() == [grid[c] for c in cells]
+        assert calls[0] == 24
+
+    def test_another_space_or_model_evaluates_through_the_hook(self, rng):
+        calls = [0]
+
+        def fn(xs):
+            calls[0] += 1
+            return math.sin(xs[0][0] * xs[1][0]) + xs[2][0]
+
+        model, space = UserHook(fn, n=3), _shuffled_space(rng, (3, 4, 2))
+        grid = cost_tensor(model, space)
+        cells = np.argwhere(np.ones(space.shape, dtype=bool))
+        # equal axes in another space object, and the same callback in another
+        # model object: neither is the held pair, so each cell is evaluated
+        for other_model, other_space in [(model, ProductSpace(space.axes)),
+                                         (UserHook(fn, n=3), space)]:
+            before = calls[0]
+            values = cost_at(other_model, other_space, cells)
+            assert calls[0] == before + 24
+            assert values.tobytes() == grid.ravel().tobytes()
+        assert cost_tensor(model, space) is grid
+
 
 class TestOnePath:
     """Every evaluation path gives the bits of the one definition."""
@@ -398,6 +431,10 @@ class TestOnePath:
             # signed coordinates, so xyz also meets products of mixed signs
             space = _shuffled_space(rng, (4, 5, 3, 4)[:n], d=model.dim, low=-1.0)
             _assert_grid_is_pointwise(model, space)
+            # cost_at evaluates the cells of a space that is not the held one
+            cells = np.argwhere(np.ones(space.shape, dtype=bool))
+            evaluated = cost_at(model, ProductSpace(space.axes), cells)
+            assert evaluated.tobytes() == cost_tensor(model, space).ravel().tobytes()
 
     def test_no_cells(self, rng):
         space = _shuffled_space(rng, (3, 2, 4))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -21,6 +22,7 @@ from mmotlab import (
     TwoWell,
     UserHook,
     c_conjugate_update,
+    check_c_monotone,
     duality_gap,
     is_vertex,
     solve_exact,
@@ -303,16 +305,14 @@ class TestSharedGrid:
         model = UserHook(counted, 3)
         space = _hook_space(3, 5, seed=3)
         result = solve_exact(model, space)
-        cells = len(result.plan.entries)
-        # the grid once, for the LP and the certificate; the plan's cells for its cost
-        assert calls[0] == 5 ** 3 + cells
-        before = calls[0]
+        # the grid once, for the LP, the plan's cost and the certificate
+        assert calls[0] == 5 ** 3
         splitting_support(model, space, result.duals)
         for i in range(space.n):
             c_conjugate_update(model, space, result.duals, i)
-        assert calls[0] == before
         duality_gap(model, result.plan, result.duals)
-        assert calls[0] == before + cells  # the plan's transport cost only
+        check_c_monotone(model, result.plan.support(), space)
+        assert calls[0] == 5 ** 3
 
 
 @st.composite
@@ -428,6 +428,49 @@ class TestPivotPath:
         assert fresh.plan.support() == updated.plan.support()
 
 
+def _fingerprint(plan) -> str:
+    """A digest of the exact plan: every support cell with its mass in hex."""
+    entries = repr(sorted((cell, float(x).hex()) for cell, x in plan.entries.items()))
+    return hashlib.sha256(entries.encode()).hexdigest()[:16]
+
+
+def _line_space(n, size, seed):
+    """Equal points on [0, 1] on every axis, weights jittered by 10%."""
+    rng = np.random.default_rng(seed)
+    return ProductSpace([DiscreteMarginal(np.linspace(0.0, 1.0, size), w / w.sum())
+                         for w in rng.uniform(0.9, 1.1, size=(n, size))])
+
+
+def _holed_tabulated(seed):
+    """A 5 x 4 x 6 random cost with about 30% of its cells at +inf."""
+    rng = np.random.default_rng(seed)
+    space = ProductSpace([DiscreteMarginal(np.arange(k) / k, w / w.sum())
+                          for k in (5, 4, 6) for w in [rng.uniform(0.5, 1.5, k)]])
+    costs = rng.uniform(0.0, 1.0, size=space.shape)
+    costs[rng.uniform(size=space.shape) < 0.3] = math.inf
+    return Tabulated(costs, space), space
+
+
+@pytest.mark.parametrize("make, iterations, support, digest", [
+    (lambda: (Coulomb1D(), coulomb_perturbed_space(8, seed=0)), 95, 22, "d68d223dcb0aca2b"),
+    (lambda: (Coulomb1D(), coulomb_perturbed_space(10, seed=0)), 134, 28, "bc8f8a044cbff7d0"),
+    (lambda: (Coulomb1D(), coulomb_perturbed_space(12, seed=0)), 216, 34, "7b1baf9776b681c3"),
+    (lambda: (TwoWell(), twowell_space(4)), 69, 10, "328f009ff4056969"),
+    (lambda: (TwoWell(), twowell_space(6)), 113, 14, "7b98b57c9a9c4f44"),
+    (lambda: (TwoWell(), twowell_space(8)), 188, 18, "d6974d81f221488a"),
+    (lambda: (Coulomb1D(), _line_space(4, 7, seed=4)), 79, 25, "174ab30d598a1d35"),
+    (lambda: (UserHook(_soft_coulomb, 4), _hook_space(4, 5, seed=5)), 87, 17, "b2fe532185fe0029"),
+    (lambda: _holed_tabulated(13), 31, 13, "c674fc4a9c35baab"),
+], ids=["coulomb8", "coulomb10", "coulomb12", "twowell4", "twowell6", "twowell8",
+        "coulomb-n4", "hook-n4", "tabulated-holes"])
+def test_pivot_path_fingerprint(make, iterations, support, digest):
+    """Iterations and exact plans of small seeded solves, recorded before the
+    columns were numbered by grid cell; a change that keeps every pivot keeps them."""
+    result = solve_exact(*make())
+    assert (result.iterations, len(result.plan.entries)) == (iterations, support)
+    assert _fingerprint(result.plan) == digest
+
+
 class TestZeroLevelArtificials:
     """Artificials that phase 1 leaves basic at zero stay at zero in phase 2."""
 
@@ -488,54 +531,109 @@ def test_equal_coulomb_meets_the_closed_form(n, N):
     assert abs(solve_exact(Coulomb1D(), space).primal_value - closed_form) <= 1e-12 * closed_form
 
 
+def _comonotone_cells(space):
+    """The support of the comonotone coupling: a finite-cost plan on these cells exists."""
+    cums = [np.cumsum(ax.weights) for ax in space.axes]
+    cuts = np.unique(np.concatenate([[0.0], *cums]))
+    mids = (cuts[:-1] + cuts[1:]) / 2
+    return {tuple(int(np.searchsorted(c, t)) for c in cums) for t in mids if t < cums[0][-1]}
+
+
 class TestLpTables:
-    """The gathered columns, pricing sums and basis against a dense matrix."""
+    """Grid-numbered columns, reduced costs and the basis against a dense
+    matrix, on n = 3, 2 and 5 grids with about 30% of their cells at +inf."""
 
     def setup_method(self):
-        rng = np.random.default_rng(5)
-        space = ProductSpace([random_rational_marginal(rng, k) for k in (4, 3, 5)])
-        costs = rng.uniform(0.0, 1.0, size=space.shape)
-        costs[rng.uniform(size=space.shape) < 0.3] = math.inf
-        self.lp = lp = _Lp(Tabulated(costs, space), space)
-        # row q is point q - offsets[a] of axis a; the last point of the last
-        # axis has no row
-        self.A = np.zeros((lp.m, len(lp.cells)))
+        self.rng = rng = np.random.default_rng(5)
+        self.lps = []
+        for shape in [(4, 3, 5), (3, 4), (2, 3, 2, 2, 3)]:
+            space = ProductSpace([random_rational_marginal(rng, k) for k in shape])
+            costs = rng.uniform(0.0, 1.0, size=shape)
+            holes = rng.uniform(size=shape) < 0.3
+            for cell in _comonotone_cells(space):  # keep a finite-cost plan
+                holes[cell] = False
+            costs[holes] = math.inf
+            self.lps.append(_Lp(Tabulated(costs, space), space))
+
+    @staticmethod
+    def _dense_matrix(lp):
+        """Row q is point q - offsets[a] of axis a; the last point of the last
+        axis has no row.  Column j is grid cell j in C order."""
+        cells = np.argwhere(np.ones(lp.shape, dtype=bool))
+        A = np.zeros((lp.m, lp.size))
         for q in range(lp.m):
             a = np.searchsorted(lp.offsets, q, side="right") - 1
-            self.A[q] = lp.cells[:, a] == q - lp.offsets[a]
-        self.rng = rng
+            A[q] = cells[:, a] == q - lp.offsets[a]
+        return A
 
-    def test_table_covers_finite_cells_and_kept_rows(self):
-        assert len(self.lp.cells) < 4 * 3 * 5
-        assert self.lp.m == 4 + 3 + 5 - 1
+    def test_columns_cover_the_grid_and_kept_rows(self):
+        for lp in self.lps:
+            assert lp.size == math.prod(lp.shape) == len(lp.in_basis)
+            assert lp.m == sum(lp.shape) - 1
+            assert 0 < np.isfinite(lp.costs).sum() < lp.size
+            assert lp.costs.tobytes() == lp.values.tobytes()
 
     def test_potential_sum_matches_dense_product(self):
-        lp = self.lp
-        for _ in range(5):
-            y = self.rng.uniform(-1.0, 1.0, size=lp.m)
-            padded = np.append(y, 0.0)  # the sentinel row contributes 0
-            total = _potential_sum([padded] * len(lp.cell_rows), lp.cell_rows)
-            np.testing.assert_allclose(total, self.A.T @ y, rtol=0, atol=1e-14)
+        for lp in self.lps:
+            # the rows of every finite cell, as the simplex once priced them
+            finite = np.isfinite(lp.costs)
+            cell_rows = (np.argwhere(np.isfinite(lp.values)) + lp.offsets).T
+            A = self._dense_matrix(lp)
+            for _ in range(5):
+                y = self.rng.uniform(-1.0, 1.0, size=lp.m)
+                padded = np.append(y, 0.0)  # the sentinel row contributes 0
+                table = lp.costs[finite] - _potential_sum([padded] * len(cell_rows), cell_rows)
+                rc = lp.price(lp.costs, y).copy()
+                assert rc[finite].tobytes() == table.tobytes()
+                assert np.all(rc[~finite] == math.inf)
+                np.testing.assert_allclose(rc, lp.costs - A.T @ y, rtol=0, atol=1e-14)
+
+    def test_basic_columns_price_at_zero(self):
+        for lp in self.lps:
+            basic = self.rng.choice(lp.size, size=3, replace=False)
+            lp.in_basis[basic] = True
+            rc = lp.price(lp.costs, self.rng.uniform(-1.0, 1.0, size=lp.m))
+            assert np.all(rc[basic] == 0.0) and np.all(rc[~lp.in_basis] != 0.0)
 
     def test_columns_match_dense_matrix(self):
-        for j in range(len(self.lp.cells)):
-            assert np.array_equal(self.lp.column(j), self.A[:, j])
+        for lp in self.lps:
+            A = self._dense_matrix(lp)
+            for j in range(lp.size):
+                assert np.array_equal(lp.column(j), A[:, j])
 
     def test_phase_one_basis_matches_column_reference(self):
-        lp, ncells = self.lp, len(self.lp.cells)
-        assert np.array_equal(lp.B, np.eye(lp.m)) and np.array_equal(lp.B_inv, np.eye(lp.m))
-        _simplex(lp, np.zeros(ncells), 1.0)
-        assert lp.pivots > 0 and any(v < ncells for v in lp.basis)
-        reference = np.column_stack([
-            lp.column(v) if v < ncells else np.eye(lp.m)[v - ncells] for v in lp.basis
-        ])
-        assert np.array_equal(lp.B, reference)
-        # phase 2 starts from this inverse, so it must be the fresh one
-        assert lp.B_inv.tobytes() == _inverse(reference).tobytes()
-        assert np.array_equal(lp.in_basis, np.isin(np.arange(ncells), lp.basis))
+        for lp in self.lps:
+            size = lp.size
+            assert np.array_equal(lp.B, np.eye(lp.m)) and np.array_equal(lp.B_inv, np.eye(lp.m))
+            _simplex(lp, np.where(np.isfinite(lp.costs), 0.0, math.inf), 1.0)
+            assert lp.pivots > 0 and any(v < size for v in lp.basis)
+            reference = np.column_stack([
+                lp.column(v) if v < size else np.eye(lp.m)[v - size] for v in lp.basis
+            ])
+            assert np.array_equal(lp.B, reference)
+            # phase 2 starts from this inverse, so it must be the fresh one
+            assert lp.B_inv.tobytes() == _inverse(reference).tobytes()
+            assert np.array_equal(lp.in_basis, np.isin(np.arange(size), lp.basis))
+
+    def test_an_infinite_cell_never_becomes_basic(self):
+        for lp in self.lps:
+            finite = np.isfinite(lp.costs)
+            x_b, _ = _simplex(lp, np.where(finite, 0.0, math.inf), 1.0)
+            assert max((x for v, x in zip(lp.basis, x_b) if v >= lp.size), default=0.0) < 1e-12
+            assert not np.any(lp.in_basis & ~finite)
+            _simplex(lp, lp.costs, 0.0)
+            assert not np.any(lp.in_basis & ~finite)
+
+    def test_all_infinite_grid_is_infeasible_with_the_full_certificate(self):
+        for lp in self.lps:
+            space = ProductSpace([DiscreteMarginal(np.arange(k) / k, np.full(k, 1 / k))
+                                  for k in lp.shape])
+            with pytest.raises(InfeasibleTransportError, match="every grid cell") as err:
+                solve_exact(Tabulated(np.full(lp.shape, math.inf), space), space)
+            assert err.value.excluded_cells == set(itertools.product(*map(range, lp.shape)))
 
     def test_singular_basis_raises(self):
-        lp = self.lp
+        lp = self.lps[0]
         B = np.column_stack([lp.column(0), lp.column(0), *np.eye(lp.m)[2:]])
         with pytest.raises(InternalConsistencyError, match="singular"):
             _inverse(B)
