@@ -2,16 +2,18 @@
 
 A two-phase revised primal simplex returns a vertex plan together with
 optimal dual potentials; ``_simplex`` states its entering and leaving rules.
-There is one constraint row per axis point, the redundant last point of the
-last axis excepted, and the rows never change: phase 2 holds each artificial
-that phase 1 left basic at zero.  The constraint matrix is never formed.
-Column j is cell j of the cost grid in C order; its rows follow from j by a
-divmod over the grid shape, and a +inf cell prices at +inf, so it never
-enters.  Each pricing pass sums the row duals over the whole grid in one
-broadcast through ``_potential_sum``, into buffers allocated once per solve.
-Both phases share one basis matrix and its explicit inverse, which a rank-one
-step updates per pivot and which is recomputed every ``_REFACTOR`` pivots and
-at optimality, so the returned values and duals carry no update drift.
+There is one constraint row per axis point and the rows never change: the
+n - 1 redundant ones keep basic artificials, which phase 2 holds at zero.
+The constraint matrix is never formed.  Column j is cell j of the cost grid
+in C order; its rows follow from j by a divmod over the grid shape, and a
++inf cell prices at +inf, so it never enters.  Each pricing pass sums the
+row duals over the whole grid in one broadcast through ``_potential_sum``,
+into buffers allocated once per solve.  The simplex starts from a greedy
+row-minimum basis (``_Lp.crash``), so phase 1 only clears the weight the
+greedy could not place, and stops as soon as it is cleared.  Both phases
+share one basis matrix and its explicit inverse, which a rank-one step
+updates per pivot and which is recomputed every ``_REFACTOR`` pivots and at
+optimality, so the returned values and duals carry no update drift.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ class _Lp:
 
     Column j < ``size`` is grid cell j in C order (``np.argwhere``'s order),
     column ``size + r`` the artificial of row r.  Point p of axis a is row
-    ``offsets[a] + p``; the last point of the last axis is the sentinel row m,
-    which the other rows imply.  Only ``column`` and ``price`` know this layout.
+    ``offsets[a] + p``, for all sum(shape) axis points.  Only ``column``,
+    ``price`` and ``crash`` know this layout.
     """
 
     def __init__(self, model: CostModel, space: ProductSpace):
@@ -78,12 +80,10 @@ class _Lp:
             raise self.infeasible("every grid cell has infinite cost")
         self.shape, self.size, self.pivots = space.shape, self.costs.size, 0
         self.offsets = np.cumsum((0, *space.shape[:-1]))
-        self.b = np.concatenate([ax.weights for ax in space.axes])[:-1]
+        self.b = np.concatenate([ax.weights for ax in space.axes])
         self.m, n = len(self.b), space.n
-        # Pricing: the row duals padded with the sentinel's 0, the index that
-        # views them along grid axis a, and a buffer per partial sum, the last
-        # of which holds the reduced costs.
-        self.y = np.zeros(self.m + 1)
+        # Pricing: the index that views the row duals along grid axis a, and
+        # a buffer per partial sum, the last of which holds the reduced costs.
         self.axes = [(None,) * a + (slice(o, o + k),) + (None,) * (n - 1 - a)
                      for a, (o, k) in enumerate(zip(self.offsets, self.shape))]
         self.sums = [np.empty(self.shape[:a + 1] + (1,) * (n - 1 - a)) for a in range(n)]
@@ -99,19 +99,45 @@ class _Lp:
         return InfeasibleTransportError(message, excluded_cells=map(tuple, excluded))
 
     def column(self, j: int) -> np.ndarray:
-        col = np.zeros(self.m + 1)
+        col = np.zeros(self.m)
         for o, k in zip(self.offsets[::-1].tolist(), self.shape[::-1]):
             j, p = divmod(j, k)
             col[o + p] = 1.0
-        return col[:-1]
+        return col
 
     def price(self, costs: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Reduced costs of every grid column for row duals ``y``, 0 on basic ones."""
-        self.y[:-1] = y
-        _potential_sum([self.y] * len(self.axes), self.axes, out=self.sums)  # into rc
+        _potential_sum([y] * len(self.axes), self.axes, out=self.sums)  # into rc
         np.subtract(costs, self.rc, out=self.rc)
         np.copyto(self.rc, 0.0, where=self.in_basis)
         return self.rc
+
+    def crash(self) -> None:
+        """Replace artificials by a greedy row-minimum basis, before phase 1.
+
+        Each first-axis point in turn takes the cheapest open cell of its slab
+        (first index on ties) at t, the smallest residual weight among the
+        cell's points, until no finite cell of its slab is open.  Each
+        placement closes one point, the first axis's whose residual is now 0:
+        its slab turns +inf and the cell takes its row.  No later cell meets
+        a closed row, so B is unit triangular up to order; the cells hold the
+        placed masses and each artificial its row's residual, all >= 0.
+        Weight that found no finite cell is left to phase 1.
+        """
+        grid, residual = self.values.copy(), self.b.copy()
+        for p in range(self.shape[0]):
+            slab = grid[p]  # a view: closing any point updates it
+            while slab.flat[cell := int(slab.argmin())] < math.inf:
+                j = p * slab.size + cell
+                idx = np.unravel_index(j, self.shape)
+                rows = self.offsets + idx
+                residual[rows] -= residual[rows].min()
+                a = int(np.argmax(residual[rows] == 0.0))
+                grid[(slice(None),) * a + (idx[a],)] = math.inf
+                r = int(rows[a])
+                self.basis[r], self.in_basis[j] = j, True
+                self.B[:, r] = self.column(j)
+        self.B_inv = _inverse(self.B)
 
 
 def _inverse(B: np.ndarray) -> np.ndarray:
@@ -131,8 +157,11 @@ def _simplex(lp: _Lp, costs: np.ndarray, art_cost: float) -> tuple[np.ndarray, n
     it, with Bland's lowest index after ``_BLAND_STREAK`` degenerate pivots
     in a row; leaving row: minimum ratio, ties to the lowest basic column
     index.  The tie tolerance keeps the pivot path a property of the LP, not
-    of the last bits of the rank-one updates.  In phase 2 (``art_cost == 0``)
-    basic artificials are held at zero, and one that would move leaves at step 0.
+    of the last bits of the rank-one updates.  Phase 1 (``art_cost > 0``)
+    stops as soon as the basic artificials sum to at most 1e-12, its lower
+    bound 0 up to rounding, even with negative reduced costs left.  In phase 2
+    (``art_cost == 0``) basic artificials are held at zero, and one that would
+    move leaves at step 0.
     """
     size = lp.size
     basis, in_basis, B, B_inv = lp.basis, lp.in_basis, lp.B, lp.B_inv
@@ -150,9 +179,13 @@ def _simplex(lp: _Lp, costs: np.ndarray, art_cost: float) -> tuple[np.ndarray, n
             raise InternalConsistencyError("simplex iteration budget exhausted")
         x_b = B_inv @ lp.b
         y = c_b @ B_inv
-        rc = lp.price(costs, y)
-        low = rc.min()
-        if not low < -_TOL_PIVOT:
+        # phase 1 is over once its objective, the artificials' sum, meets its bound 0
+        done = art_cost > 0 and c_b @ x_b <= 1e-12
+        if not done:
+            rc = lp.price(costs, y)
+            low = rc.min()
+            done = not low < -_TOL_PIVOT
+        if done:
             if updates == 0:
                 lp.B_inv = B_inv
                 return x_b, y
@@ -203,9 +236,10 @@ def solve_exact(model: CostModel, space: ProductSpace, tol_dual: float = TOL_DUA
     matches the marginals.
     """
     lp = _Lp(model, space)
+    lp.crash()
     size = lp.size
 
-    # Phase 1: artificial start; +inf cells keep their +inf cost.
+    # Phase 1: clear what the crash left on artificials; +inf cells keep their +inf cost.
     x_b, _ = _simplex(lp, np.where(np.isfinite(lp.costs), 0.0, math.inf), 1.0)
     infeas = math.fsum(x for v, x in zip(lp.basis, x_b) if v >= size and x > 0)
     if infeas > 1e-9:
@@ -220,7 +254,7 @@ def solve_exact(model: CostModel, space: ProductSpace, tol_dual: float = TOL_DUA
 
     plan = Coupling({np.unravel_index(v, space.shape): float(x)
                      for v, x in zip(lp.basis, x_b) if v < size and x > 1e-14}, space)
-    duals = DualPotentials(np.split(np.append(y, 0.0), lp.offsets[1:]))
+    duals = DualPotentials(np.split(y, lp.offsets[1:]))
 
     primal = plan.transport_cost(model)
     dual = _dual_value(duals, space)

@@ -373,42 +373,39 @@ class TestPivotPath:
     """
 
     def test_coulomb_perturbed_12(self):
-        # Recorded when the simplex moved to an updated basis inverse and the
-        # entering rule took the lowest index among near-ties: the new
-        # arithmetic and tie rule give a different optimal vertex.  Masses
-        # re-recorded when phase 2 started from the phase-1 basis with its
-        # zero-level artificials: same pivots, last bits moved.
+        # Recorded when the simplex started from the row-minimum crash basis
+        # (214 pivots from the all-artificial basis before): another optimal
+        # vertex, the one this shorter path ends at.
         result = solve_exact(Coulomb1D(), coulomb_perturbed_space(12, seed=1))
-        assert result.iterations == 214
+        assert result.iterations == 98
         assert dict(result.plan.entries) == {
-            (0, 5, 8): 0.043316405045225645, (0, 5, 9): 0.007914499354468918,
-            (0, 9, 5): 0.005768555130810427, (1, 6, 9): 0.037742805417308345,
-            (1, 9, 5): 0.017158661123788874, (1, 9, 6): 0.012252348410324049,
-            (2, 6, 10): 0.006384467548599018, (2, 10, 6): 0.0552365774541667,
-            (3, 7, 10): 0.026186078546398317, (3, 11, 7): 0.04660372763723342,
-            (3, 11, 8): 0.004669573088616083, (4, 8, 11): 0.02533001956389426,
-            (4, 11, 8): 0.047636608182728524, (5, 1, 9): 0.01230814877543919,
-            (5, 8, 11): 0.005854875250962122, (5, 9, 0): 0.06116039785595413,
-            (6, 1, 9): 0.0454403530755243, (6, 10, 2): 0.04544760876565482,
-            (7, 2, 10): 0.012528398605485866, (7, 3, 10): 0.059870614155327684,
-            (7, 3, 11): 0.011435272788601625, (7, 10, 3): 0.004566909508921725,
-            (8, 4, 11): 0.07115444980061811, (8, 5, 11): 0.0024973863296889054,
-            (8, 11, 3): 0.022063232694004467, (9, 0, 5): 0.055619412613869455,
-            (9, 1, 5): 0.008228435382293842, (9, 5, 1): 0.02626304842061189,
-            (10, 2, 6): 0.016767025988576115, (10, 2, 7): 0.0352373567727179,
-            (10, 6, 1): 0.0371205373984933, (10, 7, 2): 0.020413478344062055,
-            (11, 7, 3): 0.040235223974980715, (11, 8, 4): 0.06958750699464869,
+            (0, 5, 9): 0.045230183329743726, (0, 8, 5): 0.006941928410169551,
+            (0, 9, 5): 0.004827347790591852, (1, 5, 9): 0.033679243867839076,
+            (1, 6, 9): 0.005251443446344241, (1, 6, 10): 0.02822312763723791,
+            (2, 6, 10): 0.015823782288457537, (2, 10, 7): 0.04579726271430819,
+            (3, 7, 10): 0.009685866769153319, (3, 7, 11): 0.041040706720473934,
+            (3, 8, 11): 0.024242966404686588, (3, 11, 8): 0.0024898393779339556,
+            (4, 11, 8): 0.07296662774662277, (5, 0, 9): 0.019244935978813715,
+            (5, 9, 0): 0.06007848590354167, (6, 9, 1): 0.03143412882674404,
+            (6, 10, 2): 0.059453833014435076, (7, 3, 10): 0.05123678216096214,
+            (7, 11, 3): 0.03716441289737495, (8, 0, 5): 0.03637447663505571,
+            (8, 4, 11): 0.050988330608604734, (8, 11, 5): 0.008352261580651082,
+            (9, 1, 5): 0.030279049834294552, (9, 1, 6): 0.03569788739896282,
+            (9, 5, 0): 0.0010819119524125356, (9, 6, 1): 0.023052047231105315,
+            (10, 2, 6): 0.04855806445410411, (10, 2, 7): 0.01597471691267585,
+            (10, 6, 1): 0.008897409761255776, (10, 7, 2): 0.006407254095281818,
+            (10, 7, 3): 0.02970095328053199, (11, 3, 7): 0.020069104782967355,
+            (11, 4, 8): 0.020166119192013374, (11, 8, 4): 0.06958750699464866,
         }
 
     def test_twowell_20(self):
-        # Recorded from the updated-inverse simplex: every mass is 1/42 up
-        # to the last bits, which differ on one cell.
+        # The crash basis lands on the two zero-cost graphs, so no pivot is
+        # needed (929 from the all-artificial basis), and every mass is 1/42.
         result = solve_exact(TwoWell(), twowell_space(20))
-        assert result.iterations == 929
+        assert result.iterations == 0
         expected = {}
         for i in range(21):
             expected[(i, i, i)] = expected[(i, i, i + 10)] = 0.023809523809523808
-        expected[(20, 20, 30)] = 0.02380952380952378
         assert dict(result.plan.entries) == expected
 
     @pytest.mark.parametrize("make", [
@@ -452,20 +449,21 @@ def _holed_tabulated(seed):
 
 
 @pytest.mark.parametrize("make, iterations, support, digest", [
-    (lambda: (Coulomb1D(), coulomb_perturbed_space(8, seed=0)), 95, 22, "d68d223dcb0aca2b"),
-    (lambda: (Coulomb1D(), coulomb_perturbed_space(10, seed=0)), 134, 28, "bc8f8a044cbff7d0"),
-    (lambda: (Coulomb1D(), coulomb_perturbed_space(12, seed=0)), 216, 34, "7b1baf9776b681c3"),
-    (lambda: (TwoWell(), twowell_space(4)), 69, 10, "328f009ff4056969"),
-    (lambda: (TwoWell(), twowell_space(6)), 113, 14, "7b98b57c9a9c4f44"),
-    (lambda: (TwoWell(), twowell_space(8)), 188, 18, "d6974d81f221488a"),
-    (lambda: (Coulomb1D(), _line_space(4, 7, seed=4)), 79, 25, "174ab30d598a1d35"),
-    (lambda: (UserHook(_soft_coulomb, 4), _hook_space(4, 5, seed=5)), 87, 17, "b2fe532185fe0029"),
-    (lambda: _holed_tabulated(13), 31, 13, "c674fc4a9c35baab"),
+    (lambda: (Coulomb1D(), coulomb_perturbed_space(8, seed=0)), 40, 22, "b8157361f569e54e"),
+    (lambda: (Coulomb1D(), coulomb_perturbed_space(10, seed=0)), 70, 28, "6b1ad9bb4a8e636c"),
+    (lambda: (Coulomb1D(), coulomb_perturbed_space(12, seed=0)), 97, 34, "0685f85dfb13b19a"),
+    (lambda: (TwoWell(), twowell_space(4)), 0, 10, "328f009ff4056969"),
+    (lambda: (TwoWell(), twowell_space(6)), 0, 14, "d94e4d183e6a3b07"),
+    (lambda: (TwoWell(), twowell_space(8)), 0, 18, "191a7dba1f7977b7"),
+    (lambda: (Coulomb1D(), _line_space(4, 7, seed=4)), 37, 25, "3ac9c9e4ace87035"),
+    (lambda: (UserHook(_soft_coulomb, 4), _hook_space(4, 5, seed=5)), 23, 17, "045b480846971b06"),
+    (lambda: _holed_tabulated(13), 19, 13, "5472fed999a84462"),
 ], ids=["coulomb8", "coulomb10", "coulomb12", "twowell4", "twowell6", "twowell8",
         "coulomb-n4", "hook-n4", "tabulated-holes"])
 def test_pivot_path_fingerprint(make, iterations, support, digest):
-    """Iterations and exact plans of small seeded solves, recorded before the
-    columns were numbered by grid cell; a change that keeps every pivot keeps them."""
+    """Iterations and exact plans of small seeded solves, recorded when the
+    simplex started from the row-minimum crash basis; a change that keeps
+    every pivot keeps them."""
     result = solve_exact(*make())
     assert (result.iterations, len(result.plan.entries)) == (iterations, support)
     assert _fingerprint(result.plan) == digest
@@ -557,8 +555,7 @@ class TestLpTables:
 
     @staticmethod
     def _dense_matrix(lp):
-        """Row q is point q - offsets[a] of axis a; the last point of the last
-        axis has no row.  Column j is grid cell j in C order."""
+        """Row q is point q - offsets[a] of axis a.  Column j is grid cell j in C order."""
         cells = np.argwhere(np.ones(lp.shape, dtype=bool))
         A = np.zeros((lp.m, lp.size))
         for q in range(lp.m):
@@ -569,7 +566,7 @@ class TestLpTables:
     def test_columns_cover_the_grid_and_kept_rows(self):
         for lp in self.lps:
             assert lp.size == math.prod(lp.shape) == len(lp.in_basis)
-            assert lp.m == sum(lp.shape) - 1
+            assert lp.m == sum(lp.shape)
             assert 0 < np.isfinite(lp.costs).sum() < lp.size
             assert lp.costs.tobytes() == lp.values.tobytes()
 
@@ -581,8 +578,7 @@ class TestLpTables:
             A = self._dense_matrix(lp)
             for _ in range(5):
                 y = self.rng.uniform(-1.0, 1.0, size=lp.m)
-                padded = np.append(y, 0.0)  # the sentinel row contributes 0
-                table = lp.costs[finite] - _potential_sum([padded] * len(cell_rows), cell_rows)
+                table = lp.costs[finite] - _potential_sum([y] * len(cell_rows), cell_rows)
                 rc = lp.price(lp.costs, y).copy()
                 assert rc[finite].tobytes() == table.tobytes()
                 assert np.all(rc[~finite] == math.inf)
@@ -637,6 +633,114 @@ class TestLpTables:
         B = np.column_stack([lp.column(0), lp.column(0), *np.eye(lp.m)[2:]])
         with pytest.raises(InternalConsistencyError, match="singular"):
             _inverse(B)
+
+
+def _reference_crash(values, weights):
+    """The row-minimum rule cell by cell in plain Python.
+
+    Returns the placed mass and the taken row (axis, point) of every crash
+    cell, and the residual weight of every axis point.
+    """
+    n = values.ndim
+    residual = [list(w) for w in weights]
+    closed = [set() for _ in range(n)]
+    placed = {}
+    for p in range(values.shape[0]):
+        while p not in closed[0]:
+            cells = [c for c in itertools.product([p], *map(range, values.shape[1:]))
+                     if values[c] < math.inf and not any(c[a] in closed[a] for a in range(n))]
+            if not cells:
+                break
+            cell = min(cells, key=values.__getitem__)  # the first of the cheapest
+            t = min(residual[a][cell[a]] for a in range(n))
+            for a in range(n):
+                residual[a][cell[a]] -= t
+            a = next(a for a in range(n) if residual[a][cell[a]] == 0.0)
+            closed[a].add(cell[a])
+            placed[cell] = (t, (a, cell[a]))
+    return placed, residual
+
+
+def _zero_weight_space():
+    """Zero-weight points on the first and the last axis of a random cost."""
+    rng = np.random.default_rng(3)
+    weights = [[0.0, 0.3, 0.2, 0.5], [0.25, 0.25, 0.5], [0.4, 0.0, 0.6, 0.0]]
+    space = ProductSpace([DiscreteMarginal(np.arange(len(w)) / len(w), w) for w in weights])
+    return Tabulated(rng.uniform(0.0, 1.0, size=space.shape), space), space
+
+
+def _closed_slab(weight):
+    """Point 1 of the first axis, of the given weight, has only +inf cells."""
+    m1 = DiscreteMarginal([0.0, 1.0, 2.0], [0.5 - weight / 2, weight, 0.5 - weight / 2])
+    m2 = _uniform_line([0.0, 1.0, 2.0])
+    space = ProductSpace([m1, m2, m2])
+    costs = np.random.default_rng(7).uniform(0.0, 1.0, size=space.shape)
+    costs[1] = math.inf
+    return Tabulated(costs, space), space
+
+
+class TestCrash:
+    """The row-minimum starting basis against a plain-Python replay of its rule."""
+
+    @pytest.mark.parametrize("make, completes", [
+        # the last first-axis point finds only +inf diagonal cells open
+        (lambda: (Coulomb1D(), coulomb_perturbed_space(8, seed=0)), False),
+        (lambda: (TwoWell(), twowell_space(8)), True),
+        (lambda: _holed_tabulated(13), False),
+        (_zero_weight_space, True),
+        (lambda: _closed_slab(0.0), True),
+    ], ids=["coulomb-perturbed-8", "twowell8", "tabulated-holes", "zero-weights", "closed-slab"])
+    def test_basis_replays_the_rule(self, make, completes):
+        model, space = make()
+        lp = _Lp(model, space)
+        lp.crash()
+        placed, residual = _reference_crash(lp.values, [ax.weights for ax in space.axes])
+        size, offsets = lp.size, lp.offsets
+        cells = {np.unravel_index(v, lp.shape): r for r, v in enumerate(lp.basis) if v < size}
+        assert cells == {cell: offsets[a] + p for cell, (_, (a, p)) in placed.items()}
+        # B is the columns of those cells and the identity elsewhere, and nonsingular
+        reference = np.column_stack([
+            lp.column(v) if v < size else np.eye(lp.m)[v - size] for v in lp.basis
+        ])
+        assert np.array_equal(lp.B, reference) and np.linalg.matrix_rank(lp.B) == lp.m
+        assert lp.B_inv.tobytes() == _inverse(reference).tobytes()
+        assert np.array_equal(lp.in_basis, np.isin(np.arange(size), lp.basis))
+        # x_B: the placed masses, then each artificial at its point's residual
+        x_b = lp.B_inv @ lp.b
+        expected = np.concatenate(residual)
+        for cell, (t, _) in placed.items():
+            expected[cells[cell]] = t
+        assert min(expected) >= 0.0
+        np.testing.assert_allclose(x_b, expected, rtol=0, atol=1e-15)
+        unplaced = sum(x for r, x in enumerate(x_b) if lp.basis[r] >= size)
+        assert (unplaced <= 1e-12) == completes
+        # phase 1 from a complete crash takes no pivot
+        _simplex(lp, np.where(np.isfinite(lp.costs), 0.0, math.inf), 1.0)
+        assert (lp.pivots == 0) == completes
+
+    def test_zero_weight_points_take_zero_mass_cells(self):
+        model, space = _zero_weight_space()
+        lp = _Lp(model, space)
+        lp.crash()
+        # the zero-weight first-axis point closes at once, on a cell of mass 0
+        assert lp.basis[0] < lp.size and (lp.B_inv @ lp.b)[0] == 0.0
+        result = solve_exact(model, space)
+        assert all(cell[0] != 0 and cell[2] not in (1, 3) for cell in result.plan.entries)
+
+    def test_closed_slab_keeps_its_artificial(self):
+        model, space = _closed_slab(0.0)
+        lp = _Lp(model, space)
+        lp.crash()
+        assert lp.basis[1] == lp.size + 1
+        assert all(cell[0] != 1 for cell in solve_exact(model, space).plan.entries)
+
+    def test_closed_slab_with_weight_is_infeasible_with_the_full_certificate(self):
+        model, space = _closed_slab(0.2)
+        with pytest.raises(InfeasibleTransportError, match="phase-1 residual") as err:
+            solve_exact(model, space)
+        infinite = np.argwhere(~np.isfinite(cost_tensor(model, space)))
+        assert err.value.excluded_cells == set(map(tuple, infinite.tolist()))
+        assert len(err.value.excluded_cells) == 9
 
 
 def test_check_result_rejects_duals_infeasible_off_the_support():

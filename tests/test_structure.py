@@ -21,6 +21,7 @@ from mmotlab import (
     UserHook,
     check_c_monotone,
     decompose_graphs,
+    duality_gap,
     region_of,
     solve_exact,
     splitting_support,
@@ -420,6 +421,25 @@ class TestTwistMultiplicity:
         twist = twist_multiplicity(Coulomb1D(), split, space)
         k = decompose_graphs(result.plan).k
         assert k <= twist.max_multiplicity
+
+    def test_duals_certify_another_optimal_vertex(self):
+        # The vertex the all-artificial start returned on the space above.
+        # The bound k <= multiplicity holds on either vertex here, but the
+        # vertex the solver returns is only one of the optimal ones.
+        m = _uniform([0.0, 0.25, 0.5, 0.75, 1.0])
+        space = ProductSpace([m, m, m])
+        other = Coupling({
+            (0, 2, 3): 0.10000000000000003, (0, 4, 2): 0.10000000000000014,
+            (1, 3, 4): 0.09999999999999998, (1, 4, 2): 0.1, (2, 1, 4): 0.1,
+            (2, 3, 0): 0.10000000000000003, (3, 0, 1): 0.2, (4, 1, 3): 0.1,
+            (4, 2, 0): 0.09999999999999998,
+        }, space)
+        result = solve_exact(Coulomb1D(), space)
+        assert abs(duality_gap(Coulomb1D(), other, result.duals)) <= 1e-12
+        split = splitting_support(Coulomb1D(), space, result.duals)
+        assert set(other.entries) <= split.cells
+        assert decompose_graphs(other).k <= twist_multiplicity(
+            Coulomb1D(), split, space).max_multiplicity
 
     def test_empty_cells(self):
         m = _uniform([0.0, 1.0])

@@ -1,10 +1,12 @@
-"""The benchmark's tracer still finds every mmotlab function it patches."""
+"""The benchmark's tracer still finds every mmotlab function it patches, and
+the benchmark's own checks pass on one pass of its solver ladder."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing():
@@ -24,3 +26,14 @@ def test_every_traced_function_resolves():
             owner = getattr(owner, part)
         assert callable(owner), f"{modname}.{path} is not callable"
 
+
+def test_solve3m_pass_meets_the_benchmark_checks(monkeypatch, tmp_path):
+    """One seed-0 pass of solve-3m's ladder through its ``op`` and ``check``,
+    the deferred comparison with HiGHS's value included."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.Solve3M(0, tmp_path)
+    for k in range(workload.pass_size):
+        item = workload.item(k)
+        compare = workload.check(item, workload.op(item))
+        assert compare() >= 0.0  # HiGHS's solve seconds, after its value matched
