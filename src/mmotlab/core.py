@@ -299,9 +299,10 @@ class CostModel:
         """
         if type(self).value is CostModel.value:
             raise NotImplementedError(f"{self.kind} defines neither values nor value")
-        shape = np.broadcast_shapes(*(x.shape[:-1] for x in xs))
-        rows = [np.broadcast_to(x, shape + x.shape[-1:]).reshape(-1, x.shape[-1]) for x in xs]
-        return np.fromiter(map(self.value, zip(*rows)), float, len(rows[0])).reshape(shape)
+        xs = np.broadcast_arrays(*xs)  # views, and no work when the shapes agree
+        rows = [x.reshape(-1, x.shape[-1]) for x in xs]
+        out = np.fromiter(map(self.value, zip(*rows)), float, len(rows[0]))
+        return out.reshape(xs[0].shape[:-1])
 
     def value(self, xs: tuple[np.ndarray, ...]) -> float:
         """The cost at one point, given as a tuple of d-vectors."""
@@ -594,6 +595,11 @@ def eval_cost(model: CostModel, point: Sequence) -> float:
 def _evaluate(model: CostModel, space: ProductSpace, xs) -> np.ndarray:
     """``model.values(xs)`` after ``eval_cost``'s checks, for coordinates from ``space``."""
     model.check_point(space.point((0,) * space.n))  # arity and dimension
+    return _checked_values(model, xs)
+
+
+def _checked_values(model: CostModel, xs) -> np.ndarray:
+    """``model.values(xs)``, raising ``eval_cost``'s error on a NaN or -inf value."""
     out = np.asarray(model.values(xs), dtype=float)
     bad = np.isnan(out) | np.isneginf(out)
     if bad.any():

@@ -1,7 +1,11 @@
 """Gradients, off-diagonal Hessians, signatures, and the product criterion.
 
 Built-in costs expose closed-form derivatives; anything else falls back to
-central finite differences with scale-aware steps.
+central finite differences with scale-aware steps.  A whole stencil goes to
+the cost in one ``values`` call: 2d points for a gradient (of one point or
+of a batch of points), 4d^2 for a mixed block.  Each stencil point is a copy
+of its base point with only the perturbed coordinates shifted, so the
+values have the bits of a point-by-point evaluation.
 """
 
 from __future__ import annotations
@@ -16,80 +20,98 @@ from .core import (
     NondifferentiableCostError,
     SingularBlockError,
     Tabulated,
-    eval_cost,
+    _checked_values,
 )
 
 
-def _reject_grid_locked(model: CostModel):
-    # Tabulated costs have no off-grid values, so difference stencils are
-    # meaningless; callers should wrap the table in a UserHook interpolant
-    # if they need derivatives.
-    if isinstance(model, Tabulated):
-        raise NondifferentiableCostError(
-            "tabulated costs are grid-locked and cannot be differenced"
-        )
-
 GRAD_STEP = 1e-5
 HESS_STEP = 1e-3
+_INFINITE_STENCIL = "finite-difference stencil hit an infinite-cost point"
 
 
-def _perturbed(xs, i: int, comp: int, delta: float):
-    out = list(np.array(x) for x in xs)
-    out[i] = out[i].copy()
-    out[i][comp] += delta
-    return tuple(out)
+def _stencil(model: CostModel, xs, shifts) -> np.ndarray:
+    """Costs at K shifted copies of the points ``xs``, in one ``values`` call.
+
+    ``xs[a]`` has shape ``B + (d,)``, and the result ``B + (K,)``.  Each
+    ``(i, comps, deltas)`` in ``shifts`` adds ``deltas[..., k]`` to
+    coordinate ``comps[k]`` of ``x_i`` in copy k, and to nothing else:
+    adding 0 elsewhere would turn a -0.0 into +0.0.  A NaN or -inf value
+    raises ``InternalConsistencyError``.
+    """
+    k = len(shifts[0][1])
+    pts = [np.repeat(x[..., None, :], k, axis=-2) for x in xs]
+    for i, comps, deltas in shifts:
+        pts[i][..., np.arange(k), comps] += deltas
+    return _checked_values(model, tuple(pts))
+
+
+def _fd_grads(model: CostModel, xs, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients in ``x_i`` at the points ``xs``, and where their stencils stayed finite.
+
+    With ``xs[a]`` of shape ``B + (d,)``, the gradients have that shape and
+    the mask has shape ``B``.
+    """
+    h = GRAD_STEP * (1.0 + np.abs(xs[i]))
+    d = h.shape[-1]
+    # copies 2c and 2c + 1 move coordinate c up and down
+    steps = np.stack([h, -h], axis=-1).reshape(h.shape[:-1] + (2 * d,))
+    vals = _stencil(model, xs, [(i, np.arange(2 * d) // 2, steps)])
+    return (vals[..., 0::2] - vals[..., 1::2]) / (2.0 * h), np.isfinite(vals).all(axis=-1)
 
 
 def _fd_grad(model: CostModel, xs, i: int) -> np.ndarray:
-    d = xs[i].shape[0]
-    out = np.empty(d)
-    for comp in range(d):
-        h = GRAD_STEP * (1.0 + abs(float(xs[i][comp])))
-        up = eval_cost(model, _perturbed(xs, i, comp, h))
-        dn = eval_cost(model, _perturbed(xs, i, comp, -h))
-        if not (math.isfinite(up) and math.isfinite(dn)):
-            raise NondifferentiableCostError(
-                "finite-difference stencil hit an infinite-cost point"
-            )
-        out[comp] = (up - dn) / (2.0 * h)
-    return out
+    g, finite = _fd_grads(model, xs, i)
+    if not finite.all():
+        raise NondifferentiableCostError(_INFINITE_STENCIL)
+    return g
 
 
 def _fd_mixed_block(model: CostModel, xs, i: int, j: int) -> np.ndarray:
     d = xs[i].shape[0]
-    out = np.empty((d, d))
-    for a in range(d):
-        hi = HESS_STEP * (1.0 + abs(float(xs[i][a])))
-        for b in range(d):
-            hj = HESS_STEP * (1.0 + abs(float(xs[j][b])))
-            vals = []
-            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                p = _perturbed(_perturbed(xs, i, a, si * hi), j, b, sj * hj)
-                v = eval_cost(model, p)
-                if not math.isfinite(v):
-                    raise NondifferentiableCostError(
-                        "finite-difference stencil hit an infinite-cost point"
-                    )
-                vals.append(v)
-            out[a, b] = (vals[0] - vals[1] - vals[2] + vals[3]) / (4.0 * hi * hj)
-    return out
+    hi = HESS_STEP * (1.0 + np.abs(xs[i]))
+    hj = HESS_STEP * (1.0 + np.abs(xs[j]))
+    # copy (a, b, s) moves x_i[a] by si[s] * hi[a] and x_j[b] by sj[s] * hj[b]
+    a, b, s = np.indices((d, d, 4)).reshape(3, -1)
+    si, sj = np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0])
+    vals = _stencil(model, xs, [(i, a, si[s] * hi[a]), (j, b, sj[s] * hj[b])])
+    if not np.isfinite(vals).all():
+        raise NondifferentiableCostError(_INFINITE_STENCIL)
+    v = vals.reshape(d, d, 4)
+    return (v[..., 0] - v[..., 1] - v[..., 2] + v[..., 3]) / (4.0 * hi[:, None] * hj)
 
 
 def grad(model: CostModel, point, i: int) -> np.ndarray:
     """Gradient with respect to variable ``i``; analytic when available."""
-    return grad_at_finite(model, _finite_point(model, point), i)
-
-
-def grad_at_finite(model: CostModel, point, i: int) -> np.ndarray:
-    """``grad`` at a point whose cost the caller already knows is finite."""
-    _reject_grid_locked(model)
-    xs = model.check_point(point)
+    xs = _finite_point(model, point)
     return model.grad(i, xs) if model.has_analytic_derivatives else _fd_grad(model, xs, i)
+
+
+def grads_at(model: CostModel, xs, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients in ``x_i`` at M points of finite cost, and where they are defined.
+
+    ``xs[a]`` has shape ``(M, d)``.  Analytic gradients are taken point by
+    point, finite differences in one stencil call; a table has none.
+    """
+    table = isinstance(model, Tabulated)
+    if not (model.has_analytic_derivatives or table):
+        return _fd_grads(model, xs, i)
+    grads, ok = np.empty(xs[i].shape), np.full(len(xs[i]), not table)
+    for k in np.flatnonzero(ok).tolist():
+        try:
+            grads[k] = model.grad(i, tuple(x[k] for x in xs))
+        except NondifferentiableCostError:
+            ok[k] = False
+    return grads, ok
 
 
 def _finite_point(model: CostModel, point) -> tuple[np.ndarray, ...]:
     """The checked point; raises unless the cost there is finite and differenceable."""
-    _reject_grid_locked(model)
+    # a table has no off-grid values to difference; callers who need
+    # derivatives wrap it in a UserHook interpolant
+    if isinstance(model, Tabulated):
+        raise NondifferentiableCostError(
+            "tabulated costs are grid-locked and cannot be differenced"
+        )
     xs = model.check_point(point)
     if not math.isfinite(model.value(xs)):
         raise NondifferentiableCostError("cost is infinite at the requested point")

@@ -161,7 +161,10 @@ def _simplex(lp: _Lp, costs: np.ndarray, art_cost: float) -> tuple[np.ndarray, n
     stops as soon as the basic artificials sum to at most 1e-12, its lower
     bound 0 up to rounding, even with negative reduced costs left.  In phase 2
     (``art_cost == 0``) basic artificials are held at zero, and one that would
-    move leaves at step 0.
+    move leaves at step 0 while more than n - 1 are held.  The constraint
+    matrix has rank sum(N) - n + 1, so with n - 1 artificials left the
+    structural basic columns span its column space: d is 0 on their rows,
+    a nonzero there is rounding, and letting one leave makes B singular.
     """
     size = lp.size
     basis, in_basis, B, B_inv = lp.basis, lp.in_basis, lp.B, lp.B_inv
@@ -197,7 +200,7 @@ def _simplex(lp: _Lp, costs: np.ndarray, art_cost: float) -> tuple[np.ndarray, n
         e = int(np.argmax(rc <= limit))
         col = lp.column(e)
         d = B_inv @ col
-        moved = [r for r in held if abs(d[r]) > _TOL_PIVOT]
+        moved = [r for r in held if abs(d[r]) > _TOL_PIVOT] if len(held) > len(lp.shape) - 1 else []
         if moved:
             leave, t = moved[0], 0.0
         else:

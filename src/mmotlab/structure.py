@@ -20,7 +20,6 @@ from .core import (
     DualPotentials,
     InconsistentCouplingError,
     InvalidCertificateError,
-    NondifferentiableCostError,
     ProductSpace,
     UndefinedRegionError,
     _splitting_slack,
@@ -32,6 +31,8 @@ MONO_TOL = 1e-9
 GRAD_TOL = 1e-6
 #: elements of one block of gradient-pair differences in twist_multiplicity
 _LINK_BLOCK = 1 << 18
+#: swapped cells of one block of exchange tests in check_c_monotone
+_SWAP_BLOCK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +96,13 @@ def check_c_monotone(
     Violations come pair by pair (cells sorted), bipartitions in order
     within a pair.
 
-    Each distinct cell, given or swapped, is evaluated once: pairs are
-    taken one first cell at a time against all later cells, and the
-    block's swapped cells are built as index rows directly.  A cell's
-    mixed-radix key serves only the memo of costs, and one ``cost_at``
-    call evaluates the block's cells not seen before.  Beyond the memo the
-    work space is O(S * 2^(n-1)) for S cells; nothing the size of the grid
-    is built.
+    Pairs go in ``np.triu_indices`` order, in blocks of at most
+    ``_SWAP_BLOCK`` swapped cells (or one pair), and one ``cost_at`` call
+    per block evaluates the cells no block has seen, so each distinct cell
+    is evaluated once.  The memo keeps every cell's mixed-radix key and
+    cost in two sorted arrays; beyond it the work space is
+    O(S + _SWAP_BLOCK * n) for S cells, never the size of the grid or of
+    the S^2 pairs.
     """
     n = space.n
     if n > 6:
@@ -117,39 +118,52 @@ def check_c_monotone(
     ]
     idx = np.array(cells, dtype=np.int64)
     plus = np.array([[k in p for k in range(n)] for p in partitions])
+    # swap[0]: a on P+ and b on P-; swap[1]: b on P+ and a on P-
+    swap = np.stack([plus, ~plus])[:, None]
     # a cell's key is its mixed-radix number over the index ranges the
     # given cells span, which every swapped cell stays within
     low = idx.min(axis=0)
     radix = (idx.max(axis=0) - low + 1).tolist()
     dtype = np.int64 if math.prod(radix) < 2**63 else object
     strides = np.array([math.prod(radix[:k]) for k in range(n)], dtype=dtype)
-    memo: dict = {}
+    memo_keys, memo_costs = np.empty(0, dtype), np.empty(0)
 
     def costs(rows):
         """Costs of the cells along the last axis of ``rows``."""
+        nonlocal memo_keys, memo_costs
         flat = rows.reshape(-1, n)
         keys, first, inverse = np.unique(
-            (flat - low).astype(dtype) @ strides, return_index=True, return_inverse=True
+            (flat - low).astype(dtype, copy=False) @ strides, return_index=True, return_inverse=True
         )
-        keys = keys.tolist()
-        missing = {key: j for key, j in zip(keys, first.tolist()) if key not in memo}
-        if missing:
-            memo.update(zip(missing, cost_at(model, space, flat[list(missing.values())]).tolist()))
-        return np.array([memo[key] for key in keys])[inverse].reshape(rows.shape[:-1])
+        at = np.searchsorted(memo_keys, keys)
+        seen = at < len(memo_keys)
+        seen[seen] = memo_keys[at[seen]] == keys[seen]
+        out = np.empty(len(keys))
+        out[seen] = memo_costs[at[seen]]
+        if not seen.all():
+            new = ~seen
+            out[new] = cost_at(model, space, flat[first[new]])
+            memo_keys = np.insert(memo_keys, at[new], keys[new])
+            memo_costs = np.insert(memo_costs, at[new], out[new])
+        return out[inverse].reshape(rows.shape[:-1])
 
     given = costs(idx)
     if not np.all(np.isfinite(given)):
         raise ValueError("monotonicity check requires finite-cost cells")
+    # pair t of the triu order is (i, i + 1 + t - starts[i]) for the last i with starts[i] <= t
+    later = np.arange(len(cells) - 1, -1, -1)
+    starts = np.cumsum(later) - later
+    step = max(1, _SWAP_BLOCK // (2 * len(partitions)))
     violations = []
-    for i, a in enumerate(cells[:-1]):
-        rest = idx[i + 1:, None, :]
-        # c1: a on P+ and b on P-; c2: b on P+ and a on P-
-        c1, c2 = costs(np.stack([np.where(plus, idx[i], rest), np.where(plus, rest, idx[i])]))
+    for t in (np.arange(t0, min(t0 + step, starts[-1])) for t0 in range(0, starts[-1], step)):
+        ia = np.searchsorted(starts, t, side="right") - 1
+        ib = ia + 1 + t - starts[ia]
+        c1, c2 = costs(np.where(swap, idx[ia, None, :], idx[ib, None, :]))
         # a +inf swapped cost makes the defect -inf, which never counts
-        defect = (given[i] + given[i + 1:])[:, None] - c1 - c2
-        for b, p in zip(*(ix.tolist() for ix in np.nonzero(defect > tol_mono))):
+        defect = (given[ia] + given[ib])[:, None] - c1 - c2
+        for r, p in zip(*(ix.tolist() for ix in np.nonzero(defect > tol_mono))):
             violations.append(MonotonicityViolation(
-                a, cells[i + 1 + b], partitions[p], float(defect[b, p])
+                cells[ia[r]], cells[ib[r]], partitions[p], float(defect[r, p])
             ))
     return violations
 
@@ -270,39 +284,33 @@ def twist_multiplicity(
     """
     if isinstance(cells, SplittingSetReport):
         cells = cells.cells
-    by_x1: dict[int, list] = {}
-    flagged = []
     cells = sorted(tuple(c) for c in cells)
-    finite = np.isfinite(cost_at(model, space, cells)).tolist()
-    for cell, ok in zip(cells, finite):
-        try:
-            if not ok:
-                raise NondifferentiableCostError("cost is infinite at the cell")
-            g = diff.grad_at_finite(model, space.point(cell), 0)
-        except NondifferentiableCostError:
-            flagged.append(cell)
-            continue
-        by_x1.setdefault(cell[0], []).append((cell, g))
+    idx = np.array(cells, dtype=np.intp).reshape(-1, space.n)
+    ok = np.isfinite(cost_at(model, space, idx))
+    grads = np.empty((len(cells), space.d))
+    xs = [ax.points[idx[ok, a]] for a, ax in enumerate(space.axes)]
+    grads[ok], defined = diff.grads_at(model, xs, 0)
+    ok[ok] = defined
     clusters = []
-    for i1 in sorted(by_x1):
-        members = by_x1[i1]
-        for group in _linked_groups([g for _, g in members], tol_grad):
-            linked = tuple(members[a][0] for a in group)
-            clusters.append(GradientCluster(i1, linked, gradient=members[group[0]][1]))
+    for i1, members in itertools.groupby(np.flatnonzero(ok).tolist(), key=lambda k: cells[k][0]):
+        members = list(members)
+        for group in _linked_groups(grads[members], tol_grad):
+            clusters.append(GradientCluster(i1, tuple(cells[members[a]] for a in group),
+                                            gradient=grads[members[group[0]]]))
     witness = max(clusters, key=lambda cl: len(cl.cells), default=None)
+    flagged = tuple(cell for cell, good in zip(cells, ok.tolist()) if not good)
     return TwistReport(tuple(clusters), max_multiplicity=len(witness.cells) if witness else 0,
-                       witness=witness, flagged_cells=tuple(flagged))
+                       witness=witness, flagged_cells=flagged)
 
 
-def _linked_groups(grads, tol_grad: float) -> list[list[int]]:
-    """Single-linkage components of gradients, as ascending index lists.
+def _linked_groups(g: np.ndarray, tol_grad: float) -> list[list[int]]:
+    """Single-linkage components of the gradient rows of ``g``, as ascending index lists.
 
     Gradients a and b link when max|g_a - g_b| <= tol_grad * (1 +
     max(|g_a|_inf, |g_b|_inf)).  The pair distances are compared a block
     of rows at a time, each block at most ``_LINK_BLOCK`` elements or one
     row.
     """
-    g = np.stack(grads)
     m = len(g)
     norms = np.max(np.abs(g), axis=1)
     parent = list(range(m))

@@ -18,7 +18,8 @@ from mmotlab import (
     signature,
     three_marginal_criterion,
 )
-from mmotlab.diff import _fd_grad, grad
+from mmotlab.core import CostModel, InternalConsistencyError, eval_cost
+from mmotlab.diff import GRAD_STEP, HESS_STEP, _fd_grad, _fd_mixed_block, grad
 
 
 def _separated_triple(rng, low=0.0, high=1.0, min_gap=0.05):
@@ -67,6 +68,105 @@ class TestGradients:
             grad(model, ([0.0], [1.0]), 0)
 
 
+def _shifted(xs, *shifts):
+    """A copy of ``xs`` with ``h`` added to coordinate ``comp`` of ``x_i`` for each (i, comp, h)."""
+    out = [np.array(x) for x in xs]
+    for i, comp, h in shifts:
+        out[i][comp] += h
+    return tuple(out)
+
+
+def _reference_fd_grad(model, xs, i):
+    """The central-difference gradient, one cost evaluation per stencil point."""
+    out = np.empty(len(xs[i]))
+    for comp in range(len(xs[i])):
+        h = GRAD_STEP * (1.0 + abs(float(xs[i][comp])))
+        up = eval_cost(model, _shifted(xs, (i, comp, h)))
+        dn = eval_cost(model, _shifted(xs, (i, comp, -h)))
+        out[comp] = (up - dn) / (2.0 * h)
+    return out
+
+
+def _reference_fd_mixed_block(model, xs, i, j):
+    """The mixed central-difference block, one cost evaluation per stencil point."""
+    d = len(xs[i])
+    out = np.empty((d, d))
+    for a in range(d):
+        hi = HESS_STEP * (1.0 + abs(float(xs[i][a])))
+        for b in range(d):
+            hj = HESS_STEP * (1.0 + abs(float(xs[j][b])))
+            v = [eval_cost(model, _shifted(xs, (i, a, si * hi), (j, b, sj * hj)))
+                 for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+            out[a, b] = (v[0] - v[1] - v[2] + v[3]) / (4.0 * hi * hj)
+    return out
+
+
+def _soft_pairs(xs):
+    """A smooth pairwise cost in any d, evaluated one point at a time."""
+    return math.fsum(math.exp(math.sin(3.0 * float(np.dot(a, b))))
+                     / (0.1 + float(np.sum((a - b) ** 2)))
+                     for k, a in enumerate(xs) for b in xs[k + 1:])
+
+
+class TestStencils:
+    """One ``values`` call per stencil gives the bits of point-by-point evaluation."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_batched_stencils_match_pointwise_and_count_calls(self, d):
+        calls = []
+        hook = UserHook(lambda xs: calls.append(1) or _soft_pairs(xs), n=3, d=d)
+        rng = np.random.default_rng(d)
+        for _ in range(10):
+            xs = hook.check_point(tuple(rng.uniform(-2, 2, size=d) for _ in range(3)))
+            for i in range(3):
+                expected = _reference_fd_grad(hook, xs, i)
+                calls.clear()
+                assert _fd_grad(hook, xs, i).tobytes() == expected.tobytes()
+                assert len(calls) == 2 * d
+                for j in range(i + 1, 3):
+                    expected = _reference_fd_mixed_block(hook, xs, i, j)
+                    calls.clear()
+                    assert _fd_mixed_block(hook, xs, i, j).tobytes() == expected.tobytes()
+                    assert len(calls) == 4 * d * d
+
+    def test_unperturbed_negative_zero_stays_negative(self):
+        # the hook reads the signs of coordinates that equal -0.0; a stencil
+        # that added a zero step to them would see +0.0
+        def cost(xs):
+            return (math.copysign(1.0, xs[0][1]) * xs[0][0] * xs[1][0]
+                    + math.copysign(1.0, xs[2][0]) * xs[1][1])
+
+        hook = UserHook(cost, n=3, d=2)
+        xs = hook.check_point(([0.5, -0.0], [0.25, 0.75], [-0.0, 0.1]))
+        g0, g1 = grad(hook, xs, 0), grad(hook, xs, 1)
+        assert g0.tobytes() == _reference_fd_grad(hook, xs, 0).tobytes()
+        assert g1.tobytes() == _reference_fd_grad(hook, xs, 1).tobytes()
+        assert g0[0] == pytest.approx(-0.25, abs=1e-9)
+        assert g1 == pytest.approx([-0.5, -1.0], abs=1e-9)
+        block = hessian_offdiag(hook, xs).blocks[0][1]
+        assert block.tobytes() == _reference_fd_mixed_block(hook, xs, 0, 1).tobytes()
+        assert block[0] == pytest.approx([-1.0, 0.0], abs=1e-6)
+
+    def test_infinite_stencil_point_rejected(self):
+        hook = UserHook(lambda xs: math.inf if xs[0][0] > 1.0 else xs[0][0] * xs[1][0], n=2)
+        with pytest.raises(NondifferentiableCostError, match="stencil"):
+            grad(hook, ([1.0], [2.0]), 0)
+        with pytest.raises(NondifferentiableCostError, match="stencil"):
+            hessian_offdiag(hook, ([1.0], [2.0]))
+        assert grad(hook, ([1.0], [2.0]), 1) == pytest.approx([1.0])
+
+    def test_invalid_stencil_value_is_an_internal_error(self):
+        class Broken(CostModel):
+            kind = "broken"
+            dim = 1
+
+            def values(self, xs):
+                return np.where(xs[0][..., 0] > 1.0, np.nan, xs[0][..., 0] * xs[1][..., 0])
+
+        with pytest.raises(InternalConsistencyError):
+            grad(Broken(), ([1.0], [2.0]), 0)
+
+
 class TestHessian:
     def test_expcos_at_origin_blocks_are_minus_identity(self):
         zero = (np.zeros(2), np.zeros(2), np.zeros(2))
@@ -102,8 +202,6 @@ class TestHessian:
 
     def test_analytic_blocks_match_finite_differences(self):
         rng = np.random.default_rng(9)
-        from mmotlab.diff import _fd_mixed_block
-
         for model in (Coulomb1D(), ExpCos(), ProductXYZ(), TwoWell()):
             for _ in range(20):
                 if isinstance(model, Coulomb1D):

@@ -14,6 +14,7 @@ from mmotlab import (
     Coupling,
     DiscreteMarginal,
     DualPotentials,
+    ExpCos,
     InfeasibleTransportError,
     InvalidCertificateError,
     ProductSpace,
@@ -487,6 +488,18 @@ class TestZeroLevelArtificials:
         assert result.primal_value == pytest.approx(
             brute_force_value_n2(costs, m1.weights, m2.weights), abs=1e-12)
         _check_result(model, space, result.plan, result.duals, result.primal_value,
+                      result.dual_value, solver.TOL_DUAL)
+
+    def test_last_n_minus_1_held_artificials_stay_basic(self):
+        # ExpCos on three equal uniform 6 x 6 midpoint grids of [-1, 1]^2.  Once
+        # n - 1 artificials are held, d on their rows is rounding (1.7e-10
+        # here); letting one leave on it made the basis singular.
+        mid = -1.0 + (2 * np.arange(6) + 1) / 6
+        m = DiscreteMarginal([(a, b) for a in mid for b in mid], np.full(36, 1 / 36))
+        space = ProductSpace([m, m, m])
+        result = solve_exact(ExpCos(), space)
+        assert result.primal_value == pytest.approx(-5.3408353292989785, abs=1e-12)
+        _check_result(ExpCos(), space, result.plan, result.duals, result.primal_value,
                       result.dual_value, solver.TOL_DUAL)
 
     @settings(max_examples=60)

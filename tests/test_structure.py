@@ -403,6 +403,14 @@ class TestTwistMultiplicity:
         assert report.flagged_cells == ((0, 0),)
         assert report.max_multiplicity == 1
 
+    def test_tabulated_cells_all_flagged(self):
+        # a table has no off-grid values, so no cell has a gradient
+        space = ProductSpace([_uniform([0.0, 1.0])] * 2)
+        model = Tabulated([[0.0, 1.0], [math.inf, 0.0]], space)
+        report = twist_multiplicity(model, {(0, 0), (0, 1), (1, 0), (1, 1)}, space)
+        assert report.flagged_cells == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert report.clusters == () and report.max_multiplicity == 0
+
     def test_invariant_under_relabeling_of_later_axes(self):
         m = _uniform([0.0, 0.4, 1.1, 2.0])
         space = ProductSpace([m, m, m])
@@ -470,6 +478,26 @@ class TestTwistEquivalence:
         report = twist_multiplicity(Coulomb1D(), cells, space, tol_grad=0.1)
         assert _clusters_key(report.clusters) == _clusters_key(expected)
         assert report.max_multiplicity > 2
+
+    def test_finite_difference_gradients_match_pointwise(self, rng):
+        # no derivative callbacks: one stencil call differences every finite
+        # cell.  The cost is +inf past x1 = 0.75, so cells at 0.75 are finite
+        # but their stencils are not, and cells at 0.9 are infinite.
+        def cost(xs):
+            if xs[0][0] > 0.75:
+                return math.inf
+            return math.exp(xs[0][0] * xs[1][1]) * math.cos(xs[0][1] - xs[2][0]) + xs[1][0] ** 2
+
+        first = DiscreteMarginal([[-0.5, 0.0], [0.75, 0.1], [0.9, 0.2]], np.full(3, 1 / 3))
+        rest = [DiscreteMarginal(rng.uniform(-1, 1, (5, 2)), np.full(5, 0.2)) for _ in range(2)]
+        space = ProductSpace([first, *rest])
+        hook = UserHook(cost, n=3, d=2)
+        cells = list(itertools.product(range(3), range(5), range(5)))
+        report = twist_multiplicity(hook, cells, space, tol_grad=0.3)
+        expected = _reference_twist_clusters(hook, cells, space, tol_grad=0.3)
+        assert _clusters_key(report.clusters) == _clusters_key(expected)
+        assert report.flagged_cells == tuple(c for c in cells if c[0] > 0)
+        assert report.max_multiplicity > 1
 
     def test_single_linkage_chain(self):
         # 1.0 ~ 1.1 and 1.1 ~ 1.2 at tol 0.05, but 1.0 and 1.2 are too far apart
