@@ -650,7 +650,15 @@ def _potential_sum(vectors: Sequence[np.ndarray], index, out=None) -> np.ndarray
 
 
 def _splitting_slack(model: CostModel, space: ProductSpace, potentials: Sequence[np.ndarray]):
-    """The grid and the slack c - sum_i u_i on it, +inf on every excluded cell."""
+    """The grid and the slack c - sum_i u_i on it, +inf on every excluded cell.
+
+    Raises ``ValueError`` unless there is one potential vector per axis, as
+    long as the axis.
+    """
+    shapes = [np.shape(u) for u in potentials]
+    if shapes != [(size,) for size in space.shape]:
+        raise ValueError(f"potentials must be {space.n} vectors of lengths {space.shape}, "
+                         f"got shapes {shapes}")
     values = cost_tensor(model, space)
     # u[axes[a]] views u along grid axis a: np.ix_'s open grid without its gathers
     axes = [(None,) * a + (slice(None),) + (None,) * (space.n - 1 - a) for a in range(space.n)]

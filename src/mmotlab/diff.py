@@ -21,6 +21,7 @@ from .core import (
     SingularBlockError,
     Tabulated,
     _checked_values,
+    eval_cost,
 )
 
 
@@ -113,7 +114,7 @@ def _finite_point(model: CostModel, point) -> tuple[np.ndarray, ...]:
             "tabulated costs are grid-locked and cannot be differenced"
         )
     xs = model.check_point(point)
-    if not math.isfinite(model.value(xs)):
+    if eval_cost(model, xs) == math.inf:  # NaN and -inf raise there
         raise NondifferentiableCostError("cost is infinite at the requested point")
     return xs
 

@@ -29,10 +29,27 @@ from .core import (
 SUPPORT_TOL = 1e-10
 MONO_TOL = 1e-9
 GRAD_TOL = 1e-6
-#: elements of one block of gradient-pair differences in twist_multiplicity
-_LINK_BLOCK = 1 << 18
-#: swapped cells of one block of exchange tests in check_c_monotone
-_SWAP_BLOCK = 1 << 15
+#: items of one block of pairs: swapped cells in check_c_monotone,
+#: gradient-difference elements in twist_multiplicity
+_PAIR_BLOCK = 1 << 15
+
+
+def _pair_blocks(ends, width: int):
+    """Index pairs (a, b) with a < b < ``ends[a]``, in ``np.triu_indices`` order.
+
+    Each ``ends[a]`` exceeds a.  The pairs come as two index arrays per block
+    of at most ``_PAIR_BLOCK // width`` pairs (or one pair), for ``width``
+    items per pair.
+    """
+    later = np.asarray(ends, dtype=np.intp) - np.arange(len(ends)) - 1
+    starts = np.cumsum(later) - later
+    total = int(later.sum())
+    step = max(1, _PAIR_BLOCK // width)
+    for t0 in range(0, total, step):
+        # pair t is (a, a + 1 + t - starts[a]) for the last a with starts[a] <= t
+        t = np.arange(t0, min(t0 + step, total))
+        ia = np.searchsorted(starts, t, side="right") - 1
+        yield ia, ia + 1 + t - starts[ia]
 
 
 # ---------------------------------------------------------------------------
@@ -96,18 +113,18 @@ def check_c_monotone(
     Violations come pair by pair (cells sorted), bipartitions in order
     within a pair.
 
-    Pairs go in ``np.triu_indices`` order, in blocks of at most
-    ``_SWAP_BLOCK`` swapped cells (or one pair), and one ``cost_at`` call
-    per block evaluates the cells no block has seen, so each distinct cell
-    is evaluated once.  The memo keeps every cell's mixed-radix key and
-    cost in two sorted arrays; beyond it the work space is
-    O(S + _SWAP_BLOCK * n) for S cells, never the size of the grid or of
-    the S^2 pairs.
+    ``cells`` is read as a set.  Pairs come from ``_pair_blocks`` in
+    ``np.triu_indices`` order, in blocks of at most ``_PAIR_BLOCK`` swapped
+    cells (or one pair), and one ``cost_at`` call per block evaluates the
+    cells no block has seen, so each distinct cell is evaluated once.  The
+    memo keeps every cell's mixed-radix key and cost in two sorted arrays;
+    beyond it the work space is O(S + _PAIR_BLOCK * n) for S cells, never
+    the size of the grid or of the S^2 pairs.
     """
     n = space.n
     if n > 6:
         raise ValueError("bipartition enumeration is limited to n <= 6 axes")
-    cells = sorted(tuple(c) for c in cells)
+    cells = sorted({tuple(c) for c in cells})
     if len(cells) < 2:
         return []
     # P+ always contains axis 0, so each unordered bipartition appears once.
@@ -150,14 +167,8 @@ def check_c_monotone(
     given = costs(idx)
     if not np.all(np.isfinite(given)):
         raise ValueError("monotonicity check requires finite-cost cells")
-    # pair t of the triu order is (i, i + 1 + t - starts[i]) for the last i with starts[i] <= t
-    later = np.arange(len(cells) - 1, -1, -1)
-    starts = np.cumsum(later) - later
-    step = max(1, _SWAP_BLOCK // (2 * len(partitions)))
     violations = []
-    for t in (np.arange(t0, min(t0 + step, starts[-1])) for t0 in range(0, starts[-1], step)):
-        ia = np.searchsorted(starts, t, side="right") - 1
-        ib = ia + 1 + t - starts[ia]
+    for ia, ib in _pair_blocks(np.full(len(cells), len(cells)), 2 * len(partitions)):
         c1, c2 = costs(np.where(swap, idx[ia, None, :], idx[ib, None, :]))
         # a +inf swapped cost makes the defect -inf, which never counts
         defect = (given[ia] + given[ib])[:, None] - c1 - c2
@@ -280,40 +291,25 @@ def twist_multiplicity(
     a connected component of the links.  Clusters come by first-axis
     point, then by smallest member; the representative gradient is the
     smallest member's.  Cells where the gradient is undefined are excluded
-    and reported in ``flagged_cells``.
+    and reported in ``flagged_cells``.  ``cells`` is read as a set.
+
+    The sorted cells of one first-axis point form one run, and one pass of
+    ``_pair_blocks`` compares the pairs within each run, ``_PAIR_BLOCK``
+    gradient elements at a time: O(S d + _PAIR_BLOCK) work space for S cells.
     """
     if isinstance(cells, SplittingSetReport):
         cells = cells.cells
-    cells = sorted(tuple(c) for c in cells)
+    cells = sorted({tuple(c) for c in cells})
     idx = np.array(cells, dtype=np.intp).reshape(-1, space.n)
     ok = np.isfinite(cost_at(model, space, idx))
     grads = np.empty((len(cells), space.d))
     xs = [ax.points[idx[ok, a]] for a, ax in enumerate(space.axes)]
     grads[ok], defined = diff.grads_at(model, xs, 0)
     ok[ok] = defined
-    clusters = []
-    for i1, members in itertools.groupby(np.flatnonzero(ok).tolist(), key=lambda k: cells[k][0]):
-        members = list(members)
-        for group in _linked_groups(grads[members], tol_grad):
-            clusters.append(GradientCluster(i1, tuple(cells[members[a]] for a in group),
-                                            gradient=grads[members[group[0]]]))
-    witness = max(clusters, key=lambda cl: len(cl.cells), default=None)
-    flagged = tuple(cell for cell, good in zip(cells, ok.tolist()) if not good)
-    return TwistReport(tuple(clusters), max_multiplicity=len(witness.cells) if witness else 0,
-                       witness=witness, flagged_cells=flagged)
-
-
-def _linked_groups(g: np.ndarray, tol_grad: float) -> list[list[int]]:
-    """Single-linkage components of the gradient rows of ``g``, as ascending index lists.
-
-    Gradients a and b link when max|g_a - g_b| <= tol_grad * (1 +
-    max(|g_a|_inf, |g_b|_inf)).  The pair distances are compared a block
-    of rows at a time, each block at most ``_LINK_BLOCK`` elements or one
-    row.
-    """
-    m = len(g)
+    members = np.flatnonzero(ok)
+    g = grads[members]
     norms = np.max(np.abs(g), axis=1)
-    parent = list(range(m))
+    parent = list(range(len(members)))
 
     def find(a):
         while parent[a] != a:
@@ -321,19 +317,22 @@ def _linked_groups(g: np.ndarray, tol_grad: float) -> list[list[int]]:
             a = parent[a]
         return a
 
-    rows = max(1, _LINK_BLOCK // g.size)
-    for lo in range(0, m, rows):
-        block = g[lo:lo + rows]
-        dist = np.max(np.abs(block[:, None, :] - g[None, :, :]), axis=2)
-        radius = tol_grad * (1.0 + np.maximum(norms[lo:lo + rows, None], norms))
-        # keep b > a only: row r is gradient lo + r
-        linked = np.triu(dist <= radius, k=lo + 1)
-        for r, b in zip(*(ix.tolist() for ix in np.nonzero(linked))):
-            parent[find(lo + r)] = find(b)
+    x1 = idx[members, 0]
+    for ia, ib in _pair_blocks(np.searchsorted(x1, x1, side="right"), space.d):
+        linked = np.max(np.abs(g[ia] - g[ib]), axis=1) <= tol_grad * (
+            1.0 + np.maximum(norms[ia], norms[ib]))
+        for a, b in zip(ia[linked].tolist(), ib[linked].tolist()):
+            parent[find(a)] = find(b)
+    # components in order of their smallest member: by x1, then by smallest member
     groups: dict[int, list] = {}
-    for a in range(m):
-        groups.setdefault(find(a), []).append(a)
-    return list(groups.values())
+    for a, k in enumerate(members.tolist()):
+        groups.setdefault(find(a), []).append(k)
+    clusters = [GradientCluster(cells[ks[0]][0], tuple(cells[k] for k in ks), gradient=grads[ks[0]])
+                for ks in groups.values()]
+    witness = max(clusters, key=lambda cl: len(cl.cells), default=None)
+    flagged = tuple(cell for cell, good in zip(cells, ok.tolist()) if not good)
+    return TwistReport(tuple(clusters), max_multiplicity=len(witness.cells) if witness else 0,
+                       witness=witness, flagged_cells=flagged)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from mmotlab import (
     make_cost,
     solve_exact,
 )
+from mmotlab import diff
 from mmotlab.core import (
     BUILTIN_COSTS,
     CostModel,
@@ -458,6 +459,10 @@ class TestOnePath:
         with pytest.raises(InternalConsistencyError, match="invalid value"):
             cost_at(Broken(), space, [(1, 0)])
         assert cost_at(Broken(), space, [(0, 1)]).tolist() == [1.0]
+        with pytest.raises(InternalConsistencyError, match="invalid value"):
+            diff.grad(Broken(), ([1.0], [0.0]), 0)
+        with pytest.raises(InternalConsistencyError, match="invalid value"):
+            diff.hessian_offdiag(Broken(), ([1.0], [0.0]))
 
     def test_a_cost_must_define_values_or_value(self):
         with pytest.raises(NotImplementedError):

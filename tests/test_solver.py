@@ -31,7 +31,7 @@ from mmotlab import (
 )
 from mmotlab import solver
 from mmotlab.core import InternalConsistencyError, _potential_sum, cost_tensor, eval_cost
-from mmotlab.experiments import coulomb_perturbed_space, twowell_space
+from mmotlab.experiments import coulomb_equal_space, coulomb_perturbed_space, twowell_space
 from mmotlab.solver import _check_result, _inverse, _Lp, _simplex
 
 from conftest import brute_force_value_n2, random_rational_marginal
@@ -261,6 +261,38 @@ class TestDualityGap:
         duals = DualPotentials([np.full(3, 10.0)] * 3)
         with pytest.raises(InvalidCertificateError):
             duality_gap(Coulomb1D(), self.result.plan, duals)
+
+
+def _mismatched_potentials(u):
+    """Potentials that do not match three axes of three points: too few
+    vectors, too many, and a short last vector."""
+    return [u[:2], (*u, u[0]), (*u[:2], u[2][:1])]
+
+
+class TestPotentialShapes:
+    """Potentials must be one vector per axis, each as long as its axis."""
+
+    def setup_method(self):
+        self.space = coulomb_equal_space(3)
+        self.result = solve_exact(Coulomb1D(), self.space)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_duality_gap(self, case):
+        duals = DualPotentials(_mismatched_potentials(self.result.duals.values)[case])
+        with pytest.raises(ValueError, match="potentials must be 3 vectors"):
+            duality_gap(Coulomb1D(), self.result.plan, duals)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_splitting_support(self, case):
+        duals = DualPotentials(_mismatched_potentials(self.result.duals.values)[case])
+        with pytest.raises(ValueError, match="potentials must be 3 vectors"):
+            splitting_support(Coulomb1D(), self.space, duals)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_c_conjugate_update(self, case):
+        duals = DualPotentials(_mismatched_potentials(self.result.duals.values)[case])
+        with pytest.raises(ValueError, match="potentials must be 3 vectors"):
+            c_conjugate_update(Coulomb1D(), self.space, duals, 0)
 
 
 def _soft_coulomb(xs):

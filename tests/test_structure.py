@@ -211,6 +211,13 @@ class TestCheckCMonotone:
         with pytest.raises(ValueError, match="n <= 6"):
             check_c_monotone(Coulomb1D(), set(), space)
 
+    def test_duplicate_cells_count_once(self):
+        m = DiscreteMarginal([0.2, 0.8], [0.5, 0.5])
+        space = ProductSpace([m, m, m])
+        once = check_c_monotone(ProductXYZ(), {(0, 0, 0), (1, 1, 1)}, space)
+        assert once
+        assert check_c_monotone(ProductXYZ(), [(0, 0, 0), (1, 1, 1), (0, 0, 0)], space) == once
+
 
 class TestCheckCMonotoneEquivalence:
     """The vectorized check lists exactly what the pair-by-pair loop lists."""
@@ -268,6 +275,15 @@ class TestCheckCMonotoneEquivalence:
                 seen.add(tuple(b[i] if i in plus else a[i] for i in range(3)))
         assert len(calls) == len(set(calls)) == len(seen)
 
+    @pytest.mark.parametrize("block", [1, 7, 40])
+    def test_small_blocks(self, monkeypatch, block):
+        rng = np.random.default_rng(block)
+        space = ProductSpace([_uniform(np.sort(rng.uniform(0, 1, 7)))] * 4)
+        cells = {tuple(rng.permutation(7)[:4].tolist()) for _ in range(12)}
+        expected = _reference_c_monotone(Coulomb1D(), cells, space)
+        monkeypatch.setattr(structure, "_PAIR_BLOCK", block)
+        assert check_c_monotone(Coulomb1D(), cells, space) == expected
+
     def test_keys_past_int64_range(self):
         # 7000 points on each of 6 axes: the cells span more than 2^64 keys
         space = ProductSpace(
@@ -314,6 +330,37 @@ class TestCheckCMonotoneEdges:
         # keys for all 19900 pairs x 31 bipartitions at once would take 10 MB
         assert peak < 8 * 2**20
         assert len(calls) <= len(grid)
+
+
+def _reference_pairs(ends):
+    """The pairs (a, b) of ``np.triu_indices`` with b < ends[a]."""
+    a, b = np.triu_indices(len(ends), k=1)
+    keep = b < np.asarray(ends, dtype=np.intp)[a]
+    return a[keep].tolist(), b[keep].tolist()
+
+
+class TestPairBlocks:
+    @pytest.mark.parametrize("ends", [[], [1], [1, 2, 3], [4, 4, 4, 4], [3, 3, 3, 5, 5, 6, 8, 8]],
+                             ids=["no rows", "one row", "runs of one", "one run", "several runs"])
+    @pytest.mark.parametrize("block", [None, 1, 2, 3, 5])
+    def test_triu_order_within_runs(self, monkeypatch, ends, block):
+        if block is not None:
+            monkeypatch.setattr(structure, "_PAIR_BLOCK", block)
+        step = max(1, structure._PAIR_BLOCK // 2)
+        blocks = list(structure._pair_blocks(np.array(ends, dtype=np.intp), 2))
+        assert all(len(ia) == len(ib) for ia, ib in blocks)
+        # every block is full but the last, which is not empty
+        assert [len(ia) for ia, _ in blocks[:-1]] == [step] * (len(blocks) - 1)
+        assert all(0 < len(ia) <= step for ia, _ in blocks)
+        got_a = [a for ia, _ in blocks for a in ia.tolist()]
+        got_b = [b for _, ib in blocks for b in ib.tolist()]
+        assert (got_a, got_b) == _reference_pairs(ends)
+
+    def test_blocks_straddle_runs(self, monkeypatch):
+        monkeypatch.setattr(structure, "_PAIR_BLOCK", 2)
+        blocks = structure._pair_blocks(np.array([3, 3, 3, 5, 5, 6, 8, 8]), 1)
+        assert [(ia.tolist(), ib.tolist()) for ia, ib in blocks] == [
+            ([0, 0], [1, 2]), ([1, 3], [2, 4]), ([6], [7])]
 
 
 class TestDecomposeGraphs:
@@ -449,6 +496,14 @@ class TestTwistMultiplicity:
         assert decompose_graphs(other).k <= twist_multiplicity(
             Coulomb1D(), split, space).max_multiplicity
 
+    def test_duplicate_cells_count_once(self):
+        m = _uniform([0.0, 1.0, 2.0])
+        space = ProductSpace([m, m, m])
+        twice = twist_multiplicity(Coulomb1D(), [(0, 1, 2), (0, 1, 2)], space)
+        once = twist_multiplicity(Coulomb1D(), [(0, 1, 2)], space)
+        assert twice.max_multiplicity == once.max_multiplicity == 1
+        assert _clusters_key(twice.clusters) == _clusters_key(once.clusters)
+
     def test_empty_cells(self):
         m = _uniform([0.0, 1.0])
         space = ProductSpace([m, m])
@@ -474,10 +529,30 @@ class TestTwistEquivalence:
         space = ProductSpace([_uniform(np.sort(rng.uniform(0, 1, 9)))] * 3)
         cells = list(itertools.permutations(range(9), 3))
         expected = _reference_twist_clusters(Coulomb1D(), cells, space, 0.1)
-        monkeypatch.setattr(structure, "_LINK_BLOCK", 5)
+        monkeypatch.setattr(structure, "_PAIR_BLOCK", 5)
         report = twist_multiplicity(Coulomb1D(), cells, space, tol_grad=0.1)
         assert _clusters_key(report.clusters) == _clusters_key(expected)
         assert report.max_multiplicity > 2
+
+    def test_one_block_spans_several_first_axis_points(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        space = ProductSpace([_uniform(np.sort(rng.uniform(0, 1, 6)))] * 3)
+        cells = list(itertools.permutations(range(6), 3))  # all finite and differentiable
+        blocks = []
+        pair_blocks = structure._pair_blocks
+
+        def recorded(ends, width):
+            for ia, ib in pair_blocks(ends, width):
+                blocks.append(ia)
+                yield ia, ib
+
+        monkeypatch.setattr(structure, "_pair_blocks", recorded)
+        report = twist_multiplicity(Coulomb1D(), cells, space, tol_grad=0.1)
+        assert len(blocks) == 1
+        assert {cells[a][0] for a in blocks[0].tolist()} == set(range(6))
+        expected = _reference_twist_clusters(Coulomb1D(), cells, space, 0.1)
+        assert _clusters_key(report.clusters) == _clusters_key(expected)
+        assert report.max_multiplicity > 1
 
     def test_finite_difference_gradients_match_pointwise(self, rng):
         # no derivative callbacks: one stencil call differences every finite

@@ -1,5 +1,6 @@
 """The benchmark's tracer still finds every mmotlab function it patches, and
-the benchmark's own checks pass on one pass of its solver ladder."""
+the benchmark's own checks pass on one pass of its solver ladders and of
+its analysis pool."""
 
 import importlib
 import importlib.util
@@ -27,13 +28,30 @@ def test_every_traced_function_resolves():
         assert callable(owner), f"{modname}.{path} is not callable"
 
 
-def test_solve3m_pass_meets_the_benchmark_checks(monkeypatch, tmp_path):
-    """One seed-0 pass of solve-3m's ladder through its ``op`` and ``check``,
-    the deferred comparison with HiGHS's value included."""
+def _run_one_pass(monkeypatch, tmp_path, name):
+    """A workload's set-up and one seed-0 pass through its ``op`` and
+    ``check``, the deferred comparison with HiGHS's value included where
+    there is one."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
-    workload = workloads.Solve3M(0, tmp_path)
+    workload = getattr(workloads, name)(0, tmp_path)
+    workload.setup()
     for k in range(workload.pass_size):
         item = workload.item(k)
         compare = workload.check(item, workload.op(item))
-        assert compare() >= 0.0  # HiGHS's solve seconds, after its value matched
+        if workload.highs_column:
+            assert compare() >= 0.0  # HiGHS's solve seconds, after its value matched
+        else:
+            assert compare is None
+
+
+def test_solve3m_pass_meets_the_benchmark_checks(monkeypatch, tmp_path):
+    _run_one_pass(monkeypatch, tmp_path, "Solve3M")
+
+
+def test_many_marginal_pass_meets_the_benchmark_checks(monkeypatch, tmp_path):
+    _run_one_pass(monkeypatch, tmp_path, "ManyMarginal")
+
+
+def test_analyze_pass_meets_the_benchmark_checks(monkeypatch, tmp_path):
+    _run_one_pass(monkeypatch, tmp_path, "Analyze")
