@@ -12,6 +12,7 @@ from .core import (
     InfeasibleTransportError,
     InternalConsistencyError,
     InvalidCertificateError,
+    IterationBudgetError,
     NondifferentiableCostError,
     PreconditionError,
     ProductSpace,

@@ -45,6 +45,17 @@ class InternalConsistencyError(TransportError):
     """A state that is impossible on valid inputs (e.g. an unbounded LP)."""
 
 
+class IterationBudgetError(TransportError):
+    """The simplex made its whole pivot budget without reaching optimality.
+
+    ``pivots`` carries the number of pivots made.
+    """
+
+    def __init__(self, message: str, pivots: int):
+        super().__init__(message)
+        self.pivots = pivots
+
+
 class InvalidCertificateError(TransportError):
     """Dual potentials violate the splitting inequality beyond tolerance."""
 

@@ -2,10 +2,11 @@
 
 A feasible coupling is a vertex of the transport polytope exactly when the
 0/1 marginal-constraint columns of its support cells are linearly
-independent; that rank test is the certification route here.  The module
-also carries the three-marginal map hypotheses checker with its
-order-function search, the two-stage projection test, and the symmetric
-non-uniqueness witness constructor.
+independent; ``is_vertex`` decides this by an SVD rank test.  The module
+also carries the two-stage projection test, whose two two-marginal vertex
+tests are decided exactly by acyclicity of support graphs, the
+three-marginal map hypotheses checker with its order-function search, and
+the symmetric non-uniqueness witness constructor.
 """
 
 from __future__ import annotations
@@ -40,17 +41,19 @@ class ExtremalityCertificate:
     kernel_direction: dict | None = None
 
 
-def _vertex_certificate(cells, row_key_fns) -> ExtremalityCertificate:
-    """Rank test for arbitrary groupings of cells into marginal rows."""
-    cells = sorted(cells)
-    if not cells:
-        return ExtremalityCertificate(True, None)
-    keys = sorted({fn(c) for c in cells for fn in row_key_fns})
-    row_of = {key: r for r, key in enumerate(keys)}
-    A = np.zeros((len(keys), len(cells)))
-    for j, cell in enumerate(cells):
-        for fn in row_key_fns:
-            A[row_of[fn(cell)], j] += 1.0
+def is_vertex(plan: Coupling) -> ExtremalityCertificate:
+    """Decide extremality of a coupling in the polytope of its marginals.
+
+    The incidence matrix has one row per used point of each axis, axis by
+    axis in index order, and one column per support cell in lexicographic
+    order.  From three marginals on its columns are not a graph's, so its
+    rank is computed; the null space also gives the kernel direction.
+    """
+    cells = plan.support()
+    shape = plan.space.shape
+    A = np.zeros((sum(shape), len(cells)))
+    A[np.array(cells) + np.cumsum((0, *shape[:-1])), np.arange(len(cells))[:, None]] = 1.0
+    A = A[A.any(axis=1)]
     sv = np.linalg.svd(A, compute_uv=False)
     rank = int(np.count_nonzero(sv > RANK_TOL * max(sv[0], 1.0)))
     if rank == len(cells):
@@ -64,10 +67,29 @@ def _vertex_certificate(cells, row_key_fns) -> ExtremalityCertificate:
     )
 
 
-def is_vertex(plan: Coupling) -> ExtremalityCertificate:
-    """Decide extremality of a coupling in the polytope of its marginals."""
-    fns = [lambda cell, a=a: (a, cell[a]) for a in range(plan.space.n)]
-    return _vertex_certificate(plan.support(), fns)
+def _is_forest(edges) -> bool:
+    """Whether the graph with these distinct edges has no cycle.
+
+    For a bipartite graph this decides the rank test exactly: a cycle's
+    incidence columns sum to zero with alternating signs, and a forest's
+    are independent, eliminated leaf by leaf.  So a two-marginal plan is a
+    vertex of its transportation polytope exactly when its support graph
+    is a forest (Klee and Witzgall 1968).
+    """
+    parent: dict = {}
+
+    def find(u):
+        while parent.setdefault(u, u) != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
 
 
 def lemma_trip_check(plan: Coupling) -> bool:
@@ -76,19 +98,15 @@ def lemma_trip_check(plan: Coupling) -> bool:
     Projects the plan to nu on axes 2 and 3, then reports whether nu is a
     vertex of the two-marginal polytope and the plan is a vertex of the
     polytope with marginals (mu_1, nu).  A true result implies the plan is
-    a vertex of the full three-marginal polytope.
+    a vertex of the full three-marginal polytope.  Both are two-marginal
+    vertex tests, so each is decided exactly by ``_is_forest``.
     """
     if plan.space.n != 3:
         raise ValueError("the projection test is defined for three marginals")
-    cells = plan.support()
-    nu_cells = sorted({(c[1], c[2]) for c in cells})
-    nu_cert = _vertex_certificate(
-        nu_cells, [lambda c: (0, c[0]), lambda c: (1, c[1])]
-    )
-    pair_cert = _vertex_certificate(
-        cells, [lambda c: (0, c[0]), lambda c: (1, (c[1], c[2]))]
-    )
-    return nu_cert.is_extremal and pair_cert.is_extremal
+    cells = plan.entries  # every stored cell has positive mass
+    nu_edges = {((0, x2), (1, x3)) for _, x2, x3 in cells}
+    return _is_forest(nu_edges) and _is_forest(
+        ((0, x1), (1, x2, x3)) for x1, x2, x3 in cells)
 
 
 # ---------------------------------------------------------------------------

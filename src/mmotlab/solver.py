@@ -31,6 +31,7 @@ from .core import (
     InfeasibleTransportError,
     InternalConsistencyError,
     InvalidCertificateError,
+    IterationBudgetError,
     ProductSpace,
     _potential_sum,
     _splitting_slack,
@@ -179,7 +180,8 @@ def _simplex(lp: _Lp, costs: np.ndarray, art_cost: float) -> tuple[np.ndarray, n
     degenerate_streak = 0
     while True:
         if lp.pivots >= _MAX_ITER:
-            raise InternalConsistencyError("simplex iteration budget exhausted")
+            raise IterationBudgetError(
+                f"simplex iteration budget exhausted after {lp.pivots} pivots", lp.pivots)
         x_b = B_inv @ lp.b
         y = c_b @ B_inv
         # phase 1 is over once its objective, the artificials' sum, meets its bound 0

@@ -30,7 +30,7 @@ SUPPORT_TOL = 1e-10
 MONO_TOL = 1e-9
 GRAD_TOL = 1e-6
 #: items of one block of pairs: swapped cells in check_c_monotone,
-#: gradient-difference elements in twist_multiplicity
+#: per-pair temporaries in twist_multiplicity
 _PAIR_BLOCK = 1 << 15
 
 
@@ -294,8 +294,9 @@ def twist_multiplicity(
     and reported in ``flagged_cells``.  ``cells`` is read as a set.
 
     The sorted cells of one first-axis point form one run, and one pass of
-    ``_pair_blocks`` compares the pairs within each run, ``_PAIR_BLOCK``
-    gradient elements at a time: O(S d + _PAIR_BLOCK) work space for S cells.
+    ``_pair_blocks`` compares the pairs within each run,
+    ``_PAIR_BLOCK // (8 d)`` pairs at a time: O(S d + _PAIR_BLOCK) work space
+    for S cells.
     """
     if isinstance(cells, SplittingSetReport):
         cells = cells.cells
@@ -318,7 +319,9 @@ def twist_multiplicity(
         return a
 
     x1 = idx[members, 0]
-    for ia, ib in _pair_blocks(np.searchsorted(x1, x1, side="right"), space.d):
+    # 8 d items per pair, about the pass's temporaries per pair: index
+    # arithmetic, the gathered gradients and their difference, the link test
+    for ia, ib in _pair_blocks(np.searchsorted(x1, x1, side="right"), 8 * space.d):
         linked = np.max(np.abs(g[ia] - g[ib]), axis=1) <= tol_grad * (
             1.0 + np.maximum(norms[ia], norms[ib]))
         for a, b in zip(ia[linked].tolist(), ib[linked].tolist()):

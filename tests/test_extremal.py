@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mmotlab import (
     Coulomb1D,
@@ -17,7 +19,7 @@ from mmotlab import (
     solve_exact,
     symmetry_witness,
 )
-from mmotlab.extremal import _vertex_certificate
+from mmotlab.extremal import RANK_TOL
 
 from conftest import random_rational_marginal, unique_feasible_oracle
 
@@ -112,10 +114,68 @@ class TestLemmaTripCheck:
         assert lemma_trip_check(plan)
 
 
-class TestVertexCertificateHelper:
-    def test_empty_support(self):
-        cert = _vertex_certificate([], [lambda c: (0, c[0])])
-        assert cert.is_extremal
+def _independent_columns(edges) -> bool:
+    """SVD reference: whether the 0/1 incidence columns of these distinct
+    bipartite edges are linearly independent."""
+    edges = sorted(edges)
+    keys = sorted({(side, node) for edge in edges for side, node in enumerate(edge)})
+    row_of = {key: r for r, key in enumerate(keys)}
+    A = np.zeros((len(keys), len(edges)))
+    for j, edge in enumerate(edges):
+        for side, node in enumerate(edge):
+            A[row_of[(side, node)], j] = 1.0
+    sv = np.linalg.svd(A, compute_uv=False)
+    return int(np.count_nonzero(sv > RANK_TOL * max(sv[0], 1.0))) == len(edges)
+
+
+def _svd_trip_check(cells) -> bool:
+    """The projection test by two rank tests: nu's support on axes 2-3, and
+    the plan's support as (x1, (x2, x3)) pairs."""
+    return (_independent_columns({(x2, x3) for _, x2, x3 in cells})
+            and _independent_columns({(x1, (x2, x3)) for x1, x2, x3 in cells}))
+
+
+def _plan_on(cells, sizes=(8, 8, 8)) -> Coupling:
+    space = ProductSpace([_uniform(list(map(float, range(s)))) for s in sizes])
+    return Coupling({cell: 1.0 / len(cells) for cell in cells}, space)
+
+
+@st.composite
+def _three_axis_supports(draw):
+    sizes = draw(st.tuples(*[st.integers(1, 8)] * 3))
+    # up to twice the largest axis size: cyclic supports are common, and
+    # forests too (about a third and two thirds of the examples)
+    count = draw(st.integers(1, min(int(np.prod(sizes)), 2 * max(sizes))))
+    cell = st.tuples(*[st.integers(0, s - 1) for s in sizes])
+    return sizes, draw(st.lists(cell, min_size=count, max_size=count, unique=True))
+
+
+class TestProjectionForestTest:
+    """``lemma_trip_check`` decides both rank tests by acyclicity."""
+
+    @given(_three_axis_supports())
+    def test_matches_svd_reference(self, drawn):
+        sizes, cells = drawn
+        assert lemma_trip_check(_plan_on(cells, sizes)) == _svd_trip_check(cells)
+
+    def test_four_cycle_in_projection(self):
+        # nu's support {0, 1} x {0, 1} is a 4-cycle; the (x1, (x2, x3)) graph is a matching
+        cells = [(0, 0, 0), (1, 0, 1), (2, 1, 0), (3, 1, 1)]
+        assert not _svd_trip_check(cells)
+        assert not lemma_trip_check(_plan_on(cells))
+
+    def test_cycle_in_pair_graph_only(self):
+        # nu's support is two disjoint edges; x1 = 0 and 1 both reach (0, 0) and (1, 1)
+        cells = [(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)]
+        assert _independent_columns({(x2, x3) for _, x2, x3 in cells})
+        assert not _svd_trip_check(cells)
+        assert not lemma_trip_check(_plan_on(cells))
+
+    def test_star_shaped_plan(self):
+        cells = [(0, 0, x3) for x3 in range(5)]
+        plan = _plan_on(cells)
+        assert _svd_trip_check(cells)
+        assert lemma_trip_check(plan) and is_vertex(plan).is_extremal
 
 
 class TestFindTheta:

@@ -17,6 +17,7 @@ from mmotlab import (
     ExpCos,
     InfeasibleTransportError,
     InvalidCertificateError,
+    IterationBudgetError,
     ProductSpace,
     ProductXYZ,
     Tabulated,
@@ -30,8 +31,10 @@ from mmotlab import (
     splitting_support,
 )
 from mmotlab import solver
+from mmotlab.cli import main
 from mmotlab.core import InternalConsistencyError, _potential_sum, cost_tensor, eval_cost
 from mmotlab.experiments import coulomb_equal_space, coulomb_perturbed_space, twowell_space
+from mmotlab.io import dump_marginal
 from mmotlab.solver import _check_result, _inverse, _Lp, _simplex
 
 from conftest import brute_force_value_n2, random_rational_marginal
@@ -456,6 +459,28 @@ class TestPivotPath:
         fresh = solve_exact(model, space)
         assert fresh.iterations == updated.iterations
         assert fresh.plan.support() == updated.plan.support()
+
+
+class TestIterationBudget:
+    """An exhausted pivot budget has its own error type, not an internal fault."""
+
+    @pytest.fixture
+    def few_pivots(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_ITER", 5)  # the solve needs 98
+
+    def test_solve_raises_budget_error(self, few_pivots):
+        with pytest.raises(IterationBudgetError, match="budget exhausted") as info:
+            solve_exact(Coulomb1D(), coulomb_perturbed_space(12, seed=1))
+        assert not isinstance(info.value, InternalConsistencyError)
+        assert info.value.pivots == 5
+
+    def test_cli_solve_exits_1(self, few_pivots, tmp_path, capsys):
+        args = ["solve", "--cost", "coulomb1d"]
+        for a, axis in enumerate(coulomb_perturbed_space(12, seed=1).axes):
+            dump_marginal(axis, tmp_path / f"m{a}.json")
+            args += ["--marginal", str(tmp_path / f"m{a}.json")]
+        assert main(args) == 1
+        assert "simplex iteration budget exhausted after 5 pivots" in capsys.readouterr().err
 
 
 def _fingerprint(plan) -> str:

@@ -468,6 +468,23 @@ class TestTwistMultiplicity:
         other = twist_multiplicity(Coulomb1D(), swapped, space)
         assert base.max_multiplicity == other.max_multiplicity
 
+    def test_pair_blocks_sized_by_the_pass_footprint(self):
+        # equal Coulomb, n = 5, N = 6: 720 splitting cells, 120 per first-axis
+        # point, so 42,840 linkage pairs at d = 1
+        space = ProductSpace([_uniform(list(np.linspace(0.0, 1.0, 6)))] * 5)
+        split = splitting_support(Coulomb1D(), space, solve_exact(Coulomb1D(), space).duals)
+        assert len(split.cells) == 720
+        twist_multiplicity(Coulomb1D(), split, space)  # first-call allocations
+        tracemalloc.start()
+        try:
+            report = twist_multiplicity(Coulomb1D(), split, space)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.max_multiplicity == 24
+        # blocks of _PAIR_BLOCK pairs at d = 1 peaked at 2.0 MB here
+        assert peak < 2**20
+
     def test_graph_count_bounded_by_multiplicity(self):
         m = _uniform([0.0, 0.25, 0.5, 0.75, 1.0])
         space = ProductSpace([m, m, m])
