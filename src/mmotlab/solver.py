@@ -7,13 +7,14 @@ n - 1 redundant ones keep basic artificials, which phase 2 holds at zero.
 The constraint matrix is never formed.  Column j is cell j of the cost grid
 in C order; its rows follow from j by a divmod over the grid shape, and a
 +inf cell prices at +inf, so it never enters.  Each pricing pass sums the
-row duals over the whole grid in one broadcast through ``_potential_sum``,
-into buffers allocated once per solve.  The simplex starts from a greedy
-row-minimum basis (``_Lp.crash``), so phase 1 only clears the weight the
-greedy could not place, and stops as soon as it is cleared.  Both phases
-share one basis matrix and its explicit inverse, which a rank-one step
-updates per pivot and which is recomputed every ``_REFACTOR`` pivots and at
-optimality, so the returned values and duals carry no update drift.
+row duals over the whole grid with ``_potential_sum``, one exact outer-sum
+matmul per axis, into buffers allocated once per solve.  The simplex starts
+from a greedy row-minimum basis (``_Lp.crash``), so phase 1 only clears the
+weight the greedy could not place, and stops as soon as it is cleared.
+Both phases share one basis matrix and its explicit inverse, which a
+rank-one step updates per pivot and which is recomputed every ``_REFACTOR``
+pivots and at optimality, so the returned values and duals carry no update
+drift.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .core import (
     ProductSpace,
     _potential_sum,
     _splitting_slack,
+    _sum_steps,
     cost_tensor,
 )
 
@@ -71,7 +73,10 @@ class _Lp:
     Column j < ``size`` is grid cell j in C order (``np.argwhere``'s order),
     column ``size + r`` the artificial of row r.  Point p of axis a is row
     ``offsets[a] + p``, for all sum(shape) axis points.  Only ``column``,
-    ``price`` and ``crash`` know this layout.
+    ``price`` and ``crash`` know this layout.  The row duals ``y`` are row 1 of
+    the terms [1; y] that ``_potential_sum`` adds over the grid; the operands
+    of its steps are fixed here, and its last level is ``rc``, the reduced
+    costs, so a pricing pass allocates nothing.
     """
 
     def __init__(self, model: CostModel, space: ProductSpace):
@@ -82,13 +87,10 @@ class _Lp:
         self.shape, self.size, self.pivots = space.shape, self.costs.size, 0
         self.offsets = np.cumsum((0, *space.shape[:-1]))
         self.b = np.concatenate([ax.weights for ax in space.axes])
-        self.m, n = len(self.b), space.n
-        # Pricing: the index that views the row duals along grid axis a, and
-        # a buffer per partial sum, the last of which holds the reduced costs.
-        self.axes = [(None,) * a + (slice(o, o + k),) + (None,) * (n - 1 - a)
-                     for a, (o, k) in enumerate(zip(self.offsets, self.shape))]
-        self.sums = [np.empty(self.shape[:a + 1] + (1,) * (n - 1 - a)) for a in range(n)]
-        self.rc = self.sums[-1].reshape(-1)
+        self.m = len(self.b)
+        terms = np.ones((2, self.m))
+        self.y, self.steps = terms[1], _sum_steps(terms, self.shape)
+        self.rc = self.steps[-1][2].reshape(-1)
         # Simplex state, kept across both phases, from the all-artificial basis.
         self.basis = [self.size + r for r in range(self.m)]
         self.in_basis = np.zeros(self.size, dtype=bool)
@@ -106,9 +108,9 @@ class _Lp:
             col[o + p] = 1.0
         return col
 
-    def price(self, costs: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Reduced costs of every grid column for row duals ``y``, 0 on basic ones."""
-        _potential_sum([y] * len(self.axes), self.axes, out=self.sums)  # into rc
+    def price(self, costs: np.ndarray) -> np.ndarray:
+        """Reduced costs of every grid column for the row duals ``self.y``, 0 on basic ones."""
+        _potential_sum(self.steps)  # into rc
         np.subtract(costs, self.rc, out=self.rc)
         np.copyto(self.rc, 0.0, where=self.in_basis)
         return self.rc
@@ -123,21 +125,29 @@ class _Lp:
         its slab turns +inf and the cell takes its row.  No later cell meets
         a closed row, so B is unit triangular up to order; the cells hold the
         placed masses and each artificial its row's residual, all >= 0.
-        Weight that found no finite cell is left to phase 1.
+        Weight that found no finite cell is left to phase 1.  Each slab is
+        copied in turn: the points closed on the later axes are masked out of
+        it, and closing its own point ends it.
         """
-        grid, residual = self.values.copy(), self.b.copy()
+        residual = self.b.copy()
+        closed = [np.zeros(k, dtype=bool) for k in self.shape[1:]]
         for p in range(self.shape[0]):
-            slab = grid[p]  # a view: closing any point updates it
+            slab = self.values[p].copy()
+            for a, mask in enumerate(closed):
+                slab[(slice(None),) * a + (mask,)] = math.inf
             while slab.flat[cell := int(slab.argmin())] < math.inf:
                 j = p * slab.size + cell
                 idx = np.unravel_index(j, self.shape)
                 rows = self.offsets + idx
                 residual[rows] -= residual[rows].min()
                 a = int(np.argmax(residual[rows] == 0.0))
-                grid[(slice(None),) * a + (idx[a],)] = math.inf
                 r = int(rows[a])
                 self.basis[r], self.in_basis[j] = j, True
                 self.B[:, r] = self.column(j)
+                if a == 0:
+                    break
+                closed[a - 1][idx[a]] = True
+                slab[(slice(None),) * (a - 1) + (idx[a],)] = math.inf
         self.B_inv = _inverse(self.B)
 
 
@@ -183,11 +193,11 @@ def _simplex(lp: _Lp, costs: np.ndarray, art_cost: float) -> tuple[np.ndarray, n
             raise IterationBudgetError(
                 f"simplex iteration budget exhausted after {lp.pivots} pivots", lp.pivots)
         x_b = B_inv @ lp.b
-        y = c_b @ B_inv
+        y = np.matmul(c_b, B_inv, out=lp.y)
         # phase 1 is over once its objective, the artificials' sum, meets its bound 0
         done = art_cost > 0 and c_b @ x_b <= 1e-12
         if not done:
-            rc = lp.price(costs, y)
+            rc = lp.price(costs)
             low = rc.min()
             done = not low < -_TOL_PIVOT
         if done:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from mmotlab import (
 )
 from mmotlab import solver
 from mmotlab.cli import main
-from mmotlab.core import InternalConsistencyError, _potential_sum, cost_tensor, eval_cost
+from mmotlab.core import InternalConsistencyError, cost_tensor, eval_cost
 from mmotlab.experiments import coulomb_equal_space, coulomb_perturbed_space, twowell_space
 from mmotlab.io import dump_marginal
 from mmotlab.solver import _check_result, _inverse, _Lp, _simplex
@@ -647,18 +648,37 @@ class TestLpTables:
             cell_rows = (np.argwhere(np.isfinite(lp.values)) + lp.offsets).T
             A = self._dense_matrix(lp)
             for _ in range(5):
-                y = self.rng.uniform(-1.0, 1.0, size=lp.m)
-                table = lp.costs[finite] - _potential_sum([y] * len(cell_rows), cell_rows)
-                rc = lp.price(lp.costs, y).copy()
+                y = lp.y
+                y[:] = self.rng.uniform(-1.0, 1.0, size=lp.m)
+                gathered = 0.0
+                for rows in cell_rows:
+                    gathered = gathered + y[rows]
+                table = lp.costs[finite] - gathered
+                rc = lp.price(lp.costs).copy()
                 assert rc[finite].tobytes() == table.tobytes()
                 assert np.all(rc[~finite] == math.inf)
                 np.testing.assert_allclose(rc, lp.costs - A.T @ y, rtol=0, atol=1e-14)
+
+    def test_pricing_allocates_nothing_after_the_first_pass(self):
+        space = ProductSpace([random_rational_marginal(self.rng, k) for k in (5, 6, 7, 8)])
+        lp = _Lp(Tabulated(self.rng.uniform(0.0, 1.0, size=space.shape), space), space)
+        lp.y[:] = self.rng.uniform(-1.0, 1.0, size=lp.m)
+        lp.price(lp.costs)
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                lp.price(lp.costs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
 
     def test_basic_columns_price_at_zero(self):
         for lp in self.lps:
             basic = self.rng.choice(lp.size, size=3, replace=False)
             lp.in_basis[basic] = True
-            rc = lp.price(lp.costs, self.rng.uniform(-1.0, 1.0, size=lp.m))
+            lp.y[:] = self.rng.uniform(-1.0, 1.0, size=lp.m)
+            rc = lp.price(lp.costs)
             assert np.all(rc[basic] == 0.0) and np.all(rc[~lp.in_basis] != 0.0)
 
     def test_columns_match_dense_matrix(self):
@@ -787,6 +807,16 @@ class TestCrash:
         # phase 1 from a complete crash takes no pivot
         _simplex(lp, np.where(np.isfinite(lp.costs), 0.0, math.inf), 1.0)
         assert (lp.pivots == 0) == completes
+
+    def test_crash_holds_less_than_one_grid(self):
+        lp = _Lp(Coulomb1D(), coulomb_perturbed_space(60, seed=0))
+        tracemalloc.start()
+        try:
+            lp.crash()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < lp.values.nbytes
 
     def test_zero_weight_points_take_zero_mass_cells(self):
         model, space = _zero_weight_space()
