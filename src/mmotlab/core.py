@@ -644,71 +644,19 @@ def cost_tensor(model: CostModel, space: ProductSpace) -> np.ndarray:
     return grid
 
 
-#: the running sum before the first axis, as the row [s, 1] with s = 0.0
-_NO_AXIS = np.array([[0.0, 1.0]])
-_NO_AXIS.setflags(write=False)
+def _grid_sum(potentials: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_a u_a over the grid, one axis per potential, in a fresh array.
 
-
-def _sum_steps(terms: np.ndarray, shape: Sequence[int]) -> list[tuple]:
-    """The operands of ``_potential_sum`` on a grid of ``shape``, allocated once.
-
-    ``terms`` is a (2, sum(shape)) array whose row 0 holds ones and row 1 the
-    potentials, axis after axis; every run reads row 1 as it is then.  Step a
-    reads [s, 1], the running sum over the P cells of the axes before a, from
-    the level the step before wrote, a (2, P) array whose row 1 holds ones,
-    and writes the sum over the axes up to a into row 0 of its own level.
-    The last step writes the grid, as a (P, N_last) array.
+    The potentials broadcast along their grid axes and are added axis by axis
+    starting from 0.0, ((0.0 + u_0) + u_1) + ...  This one order of additions
+    fixes the bits of every potential sum: the splitting slack, the
+    certificate and the c-conjugate here, and the simplex's reduced costs,
+    whose outer-sum kernel (``solver._potential_sum``) gives the same bits.
     """
-    steps, lhs, o = [], _NO_AXIS, 0
-    for k in shape[:-1]:
-        level = np.ones((2, lhs.shape[0] * k))
-        steps.append((lhs, terms[:, o:o + k], level[0].reshape(-1, k)))
-        lhs, o = level.T, o + k
-    steps.append((lhs, terms[:, o:], np.empty((lhs.shape[0], shape[-1]))))
-    return steps
-
-
-def _potential_sum(steps: Sequence[tuple]) -> np.ndarray:
-    """sum_a u_a over the grid, in the buffers of ``_sum_steps``; returns the last.
-
-    Each step adds axis a to the running sum s as the outer sum
-    [s, 1] @ [1; u_a], one matmul over the whole level.  Both products are
-    exact, so each cell is s + u_a rounded once, in whatever order the matmul
-    adds them (s is never -0.0, so a zero accumulator changes no bit).  That
-    gives the bits of ((0.0 + u_0) + u_1) + ..., the one order of additions
-    that fixes every potential sum: the splitting slack, the certificate, the
-    c-conjugate and the simplex's reduced costs.
-    """
-    for lhs, rhs, out in steps:
-        np.matmul(lhs, rhs, out=out)
-    return out
-
-
-#: grids with fewer cells are summed by broadcasting: below this size the
-#: kernel's fixed set-up (buffers, views, error state) costs more than its
-#: matmuls save
-_KERNEL_MIN_CELLS = 1 << 13
-
-
-def _grid_sum(potentials: Sequence[np.ndarray], shape: Sequence[int]) -> np.ndarray:
-    """sum_a u_a over the grid of ``shape``, in a fresh array.
-
-    A large grid goes through ``_potential_sum`` in fresh buffers; a small one
-    broadcasts the same additions, ((0.0 + u_0) + u_1) + ..., so both give the
-    same bits.
-    """
-    n = len(shape)
-    if math.prod(shape) < _KERNEL_MIN_CELLS:
-        total = 0.0
-        for a, u in enumerate(potentials):
-            total = np.add(total, u.reshape((1,) * a + (-1,) + (1,) * (n - 1 - a)))
-        return total
-    terms = np.ones((2, sum(shape)))
-    np.concatenate(potentials, out=terms[1])
-    # A -inf potential can set the invalid flag inside the matmul (0 * -inf
-    # in lanes no cell is read from); no value changes.
-    with np.errstate(invalid="ignore"):
-        return _potential_sum(_sum_steps(terms, shape)).reshape(shape)
+    n, total = len(potentials), 0.0
+    for a, u in enumerate(potentials):
+        total = np.add(total, u.reshape((1,) * a + (-1,) + (1,) * (n - 1 - a)))
+    return total
 
 
 def _splitting_slack(model: CostModel, space: ProductSpace, potentials: Sequence[np.ndarray]):
@@ -722,7 +670,7 @@ def _splitting_slack(model: CostModel, space: ProductSpace, potentials: Sequence
         raise ValueError(f"potentials must be {space.n} vectors of lengths {space.shape}, "
                          f"got shapes {shapes}")
     values = cost_tensor(model, space)
-    slack = _grid_sum(potentials, space.shape)
+    slack = _grid_sum(potentials)
     return values, np.subtract(values, slack, out=slack)
 
 

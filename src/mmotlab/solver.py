@@ -34,9 +34,7 @@ from .core import (
     InvalidCertificateError,
     IterationBudgetError,
     ProductSpace,
-    _potential_sum,
     _splitting_slack,
-    _sum_steps,
     cost_tensor,
 )
 
@@ -67,16 +65,56 @@ class SolveResult:
     iterations: int
 
 
+#: the running sum before the first axis, as the row [s, 1] with s = 0.0
+_NO_AXIS = np.array([[0.0, 1.0]])
+_NO_AXIS.setflags(write=False)
+
+
+def _sum_steps(terms: np.ndarray, shape: tuple[int, ...]) -> list[tuple]:
+    """The operands of ``_potential_sum`` on a grid of ``shape``, allocated once.
+
+    ``terms`` is a (2, sum(shape)) array whose row 0 holds ones and row 1 the
+    potentials, axis after axis; every run reads row 1 as it is then.  Step a
+    reads [s, 1], the running sum over the P cells of the axes before a, from
+    the level the step before wrote, a (2, P) array whose row 1 holds ones,
+    and writes the sum over the axes up to a into row 0 of its own level.
+    The last step writes the grid, as a (P, N_last) array.
+    """
+    steps, lhs, o = [], _NO_AXIS, 0
+    for k in shape[:-1]:
+        level = np.ones((2, lhs.shape[0] * k))
+        steps.append((lhs, terms[:, o:o + k], level[0].reshape(-1, k)))
+        lhs, o = level.T, o + k
+    steps.append((lhs, terms[:, o:], np.empty((lhs.shape[0], shape[-1]))))
+    return steps
+
+
+def _potential_sum(steps: list[tuple]) -> np.ndarray:
+    """sum_a u_a over the grid, in the buffers of ``_sum_steps``; returns the last.
+
+    Each step adds axis a to the running sum s as the outer sum
+    [s, 1] @ [1; u_a], one matmul over the whole level.  Both products are
+    exact, so each cell is s + u_a rounded once, in whatever order the matmul
+    adds them (s is never -0.0, so a zero accumulator changes no bit).  That
+    gives the bits of ``core._grid_sum``'s ((0.0 + u_0) + u_1) + ...  The
+    simplex's duals are finite; a -inf potential may set numpy's invalid flag
+    (0 * -inf in lanes no cell is read from) without changing a value.
+    """
+    for lhs, rhs, out in steps:
+        np.matmul(lhs, rhs, out=out)
+    return out
+
+
 class _Lp:
     """Workspace for one solve: rows, columns, pricing buffers and the simplex state.
 
     Column j < ``size`` is grid cell j in C order (``np.argwhere``'s order),
     column ``size + r`` the artificial of row r.  Point p of axis a is row
     ``offsets[a] + p``, for all sum(shape) axis points.  Only ``column``,
-    ``price`` and ``crash`` know this layout.  The row duals ``y`` are row 1 of
-    the terms [1; y] that ``_potential_sum`` adds over the grid; the operands
-    of its steps are fixed here, and its last level is ``rc``, the reduced
-    costs, so a pricing pass allocates nothing.
+    ``price`` and ``crash`` know this layout.  ``price`` copies the row duals
+    into row 1 of ``terms``, [1; y], which ``_potential_sum`` adds over the
+    grid; the operands of its steps are fixed here, and its last level is
+    ``rc``, the reduced costs, so a pricing pass allocates nothing.
     """
 
     def __init__(self, model: CostModel, space: ProductSpace):
@@ -88,8 +126,8 @@ class _Lp:
         self.offsets = np.cumsum((0, *space.shape[:-1]))
         self.b = np.concatenate([ax.weights for ax in space.axes])
         self.m = len(self.b)
-        terms = np.ones((2, self.m))
-        self.y, self.steps = terms[1], _sum_steps(terms, self.shape)
+        self.terms = np.ones((2, self.m))
+        self.steps = _sum_steps(self.terms, self.shape)
         self.rc = self.steps[-1][2].reshape(-1)
         # Simplex state, kept across both phases, from the all-artificial basis.
         self.basis = [self.size + r for r in range(self.m)]
@@ -108,8 +146,9 @@ class _Lp:
             col[o + p] = 1.0
         return col
 
-    def price(self, costs: np.ndarray) -> np.ndarray:
-        """Reduced costs of every grid column for the row duals ``self.y``, 0 on basic ones."""
+    def price(self, costs: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Reduced costs of every grid column for row duals ``y``, 0 on basic ones."""
+        np.copyto(self.terms[1], y)
         _potential_sum(self.steps)  # into rc
         np.subtract(costs, self.rc, out=self.rc)
         np.copyto(self.rc, 0.0, where=self.in_basis)
@@ -193,11 +232,11 @@ def _simplex(lp: _Lp, costs: np.ndarray, art_cost: float) -> tuple[np.ndarray, n
             raise IterationBudgetError(
                 f"simplex iteration budget exhausted after {lp.pivots} pivots", lp.pivots)
         x_b = B_inv @ lp.b
-        y = np.matmul(c_b, B_inv, out=lp.y)
+        y = c_b @ B_inv
         # phase 1 is over once its objective, the artificials' sum, meets its bound 0
         done = art_cost > 0 and c_b @ x_b <= 1e-12
         if not done:
-            rc = lp.price(costs)
+            rc = lp.price(costs, y)
             low = rc.min()
             done = not low < -_TOL_PIVOT
         if done:

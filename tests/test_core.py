@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mmotlab import (
     Coulomb1D,
@@ -21,14 +19,12 @@ from mmotlab import (
     make_cost,
     solve_exact,
 )
-from mmotlab import core, diff
+from mmotlab import diff
 from mmotlab.core import (
     BUILTIN_COSTS,
     CostModel,
     InternalConsistencyError,
     _grid_sum,
-    _potential_sum,
-    _sum_steps,
     cost_at,
     cost_tensor,
 )
@@ -196,20 +192,6 @@ class TestCoupling:
         assert a.tv_distance(a) == 0.0
 
 
-#: potentials with signed zeros, -inf, subnormals and magnitudes up to 1e300
-_POTENTIAL = st.one_of(
-    st.sampled_from([0.0, -0.0, -math.inf, 5e-324, -5e-324, 1e-310, 1e300, -1e300]),
-    st.floats(-1e300, 1e300),
-)
-
-
-@st.composite
-def _grid_potentials(draw):
-    """One potential vector per axis of an n = 2..5 grid with 1-8 points per axis."""
-    shape = draw(st.lists(st.integers(1, 8), min_size=2, max_size=5))
-    return [np.array(draw(st.lists(_POTENTIAL, min_size=k, max_size=k))) for k in shape]
-
-
 class TestDualPotentials:
     def test_minus_inf_allowed_plus_inf_not(self):
         DualPotentials([np.array([-math.inf, 0.0])])
@@ -219,26 +201,10 @@ class TestDualPotentials:
     def test_potential_sum_adds_axis_by_axis(self, rng):
         u = [rng.normal(size=s) for s in (3, 4, 2)]
         u[1][2] = -math.inf
-        terms = np.ones((2, 9))
-        terms[1] = np.concatenate(DualPotentials(u).values)
-        with np.errstate(invalid="ignore"):  # the -inf may set the flag, see _grid_sum
-            total = _potential_sum(_sum_steps(terms, (3, 4, 2)))
+        total = _grid_sum(DualPotentials(u).values)
         expected = ((0.0 + u[0][:, None, None]) + u[1][None, :, None]) + u[2][None, None, :]
-        assert total.shape == (12, 2)
+        assert total.shape == (3, 4, 2)
         assert total.tobytes() == expected.tobytes()
-
-    @settings(max_examples=300)
-    @given(_grid_potentials())
-    def test_grid_sum_matches_the_sequential_chain(self, u):
-        n, shape = len(u), tuple(map(len, u))
-        expected = 0.0
-        for a, v in enumerate(u):
-            expected = expected + v.reshape((1,) * a + (-1,) + (1,) * (n - 1 - a))
-        # a warning escaping _grid_sum fails the test: warnings are errors here
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "_KERNEL_MIN_CELLS", 0)  # the kernel on every grid
-            assert _grid_sum(u, shape).tobytes() == expected.tobytes()
-        assert _grid_sum(u, shape).tobytes() == expected.tobytes()
 
 
 class TestCoulomb1D:

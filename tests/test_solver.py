@@ -648,13 +648,12 @@ class TestLpTables:
             cell_rows = (np.argwhere(np.isfinite(lp.values)) + lp.offsets).T
             A = self._dense_matrix(lp)
             for _ in range(5):
-                y = lp.y
-                y[:] = self.rng.uniform(-1.0, 1.0, size=lp.m)
+                y = self.rng.uniform(-1.0, 1.0, size=lp.m)
                 gathered = 0.0
                 for rows in cell_rows:
                     gathered = gathered + y[rows]
                 table = lp.costs[finite] - gathered
-                rc = lp.price(lp.costs).copy()
+                rc = lp.price(lp.costs, y).copy()
                 assert rc[finite].tobytes() == table.tobytes()
                 assert np.all(rc[~finite] == math.inf)
                 np.testing.assert_allclose(rc, lp.costs - A.T @ y, rtol=0, atol=1e-14)
@@ -662,23 +661,30 @@ class TestLpTables:
     def test_pricing_allocates_nothing_after_the_first_pass(self):
         space = ProductSpace([random_rational_marginal(self.rng, k) for k in (5, 6, 7, 8)])
         lp = _Lp(Tabulated(self.rng.uniform(0.0, 1.0, size=space.shape), space), space)
-        lp.y[:] = self.rng.uniform(-1.0, 1.0, size=lp.m)
-        lp.price(lp.costs)
+        y = self.rng.uniform(-1.0, 1.0, size=lp.m)
+        lp.price(lp.costs, y)
         tracemalloc.start()
         try:
             for _ in range(10):
-                lp.price(lp.costs)
+                lp.price(lp.costs, y)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1024
 
+    def test_returned_duals_survive_later_pricing(self):
+        lp = self.lps[0]
+        lp.crash()
+        _, y = _simplex(lp, np.where(np.isfinite(lp.costs), 0.0, math.inf), 1.0)
+        kept = y.copy()
+        lp.price(lp.costs, self.rng.uniform(-1.0, 1.0, size=lp.m))
+        assert y.tobytes() == kept.tobytes()
+
     def test_basic_columns_price_at_zero(self):
         for lp in self.lps:
             basic = self.rng.choice(lp.size, size=3, replace=False)
             lp.in_basis[basic] = True
-            lp.y[:] = self.rng.uniform(-1.0, 1.0, size=lp.m)
-            rc = lp.price(lp.costs)
+            rc = lp.price(lp.costs, self.rng.uniform(-1.0, 1.0, size=lp.m))
             assert np.all(rc[basic] == 0.0) and np.all(rc[~lp.in_basis] != 0.0)
 
     def test_columns_match_dense_matrix(self):
@@ -767,6 +773,38 @@ def _closed_slab(weight):
     costs = np.random.default_rng(7).uniform(0.0, 1.0, size=space.shape)
     costs[1] = math.inf
     return Tabulated(costs, space), space
+
+
+#: potentials with signed zeros, -inf, subnormals and magnitudes up to 1e300
+_POTENTIAL = st.one_of(
+    st.sampled_from([0.0, -0.0, -math.inf, 5e-324, -5e-324, 1e-310, 1e300, -1e300]),
+    st.floats(-1e300, 1e300),
+)
+
+
+@st.composite
+def _grid_potentials(draw):
+    """One potential vector per axis of an n = 2..5 grid with 1-8 points per axis."""
+    shape = draw(st.lists(st.integers(1, 8), min_size=2, max_size=5))
+    return [np.array(draw(st.lists(_POTENTIAL, min_size=k, max_size=k))) for k in shape]
+
+
+@settings(max_examples=300)
+@given(_grid_potentials())
+def test_potential_sum_matches_the_sequential_chain(u):
+    n, shape = len(u), tuple(map(len, u))
+    expected = 0.0
+    for a, v in enumerate(u):
+        expected = expected + v.reshape((1,) * a + (-1,) + (1,) * (n - 1 - a))
+    terms = np.ones((2, sum(shape)))
+    np.concatenate(u, out=terms[1])
+    steps = solver._sum_steps(terms, shape)
+    if all(np.isfinite(v).all() for v in u):
+        total = solver._potential_sum(steps)  # the simplex's case: warnings are errors here
+    else:
+        with np.errstate(invalid="ignore"):  # 0 * -inf in lanes no cell is read from
+            total = solver._potential_sum(steps)
+    assert total.tobytes() == expected.tobytes()
 
 
 class TestCrash:
