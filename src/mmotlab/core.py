@@ -674,6 +674,22 @@ def _splitting_slack(model: CostModel, space: ProductSpace, potentials: Sequence
     return values, np.subtract(values, slack, out=slack)
 
 
+def _admissible_slack(model: CostModel, space: ProductSpace, potentials: Sequence[np.ndarray],
+                      tol: float):
+    """The grid, the slack c - sum_i u_i and the bound tol * (1 + max|c| over the finite cells).
+
+    The one admissibility test for dual potentials: raises
+    ``InvalidCertificateError`` when sum_i u_i - c exceeds the bound on a
+    finite cell.  Gaps and slacks are read against the same bound.
+    """
+    values, slack = _splitting_slack(model, space, potentials)
+    worst = -slack.min()  # max(sum u - c) over the finite cells, bit for bit
+    bound = tol * (1.0 + np.max(np.abs(values), where=np.isfinite(values), initial=0.0))
+    if worst > bound:
+        raise InvalidCertificateError(f"splitting inequality violated by {worst:.3e}")
+    return values, slack, float(bound)
+
+
 def cost_at(model: CostModel, space: ProductSpace, cells) -> np.ndarray:
     """Cost values at the grid cells given as a (K, n) index array.
 

@@ -20,12 +20,12 @@ from .core import (
     Coupling,
     CostModel,
     DiscreteMarginal,
+    MASS_TOL,
     PreconditionError,
     ProductSpace,
 )
 
 RANK_TOL = 1e-10
-PERM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,7 @@ def _check_symmetric_inputs(plan: Coupling, s1, s2, s3):
     ax0 = space.axes[0]
     for ax in space.axes[1:]:
         if not (np.array_equal(ax.points, ax0.points)
-                and np.max(np.abs(ax.weights - ax0.weights)) <= PERM_TOL):
+                and np.max(np.abs(ax.weights - ax0.weights)) <= MASS_TOL):
             raise PreconditionError("all three marginals must be identical")
     sets = [frozenset(int(i) for i in s) for s in (s1, s2, s3)]
     for a, b in itertools.combinations(sets, 2):
@@ -297,7 +297,7 @@ def _check_symmetric_inputs(plan: Coupling, s1, s2, s3):
             raise PreconditionError("the three index sets must be pairwise disjoint")
     for sigma in itertools.permutations(range(3)):
         moved = plan.permuted(sigma)
-        if plan.tv_distance(moved) > PERM_TOL:
+        if plan.tv_distance(moved) > MASS_TOL:
             raise PreconditionError(
                 f"plan is not invariant under coordinate permutation {sigma}"
             )
@@ -348,7 +348,7 @@ def symmetry_witness(plan: Coupling, s1, s2, s3, model: CostModel | None = None)
     for a in range(3):
         if np.max(np.abs(witness.marginal(a) - plan.marginal(a))) > 1e-12:
             raise PreconditionError("witness construction disturbed a marginal")
-    if witness.tv_distance(plan) <= PERM_TOL:
+    if witness.tv_distance(plan) <= MASS_TOL:
         raise PreconditionError("witness coincides with the input plan")
     if model is not None:
         before = plan.transport_cost(model)

@@ -31,14 +31,16 @@ from .core import (
     DualPotentials,
     InfeasibleTransportError,
     InternalConsistencyError,
-    InvalidCertificateError,
     IterationBudgetError,
     ProductSpace,
+    _admissible_slack,
     _splitting_slack,
     cost_tensor,
 )
 
-#: absolute dual-feasibility tolerance, scaled by (1 + |c|) for large costs
+#: relative dual tolerance: the duality gap and the splitting slack are
+#: checked against TOL_DUAL * (1 + max|c|) over the finite cells
+#: (``core._admissible_slack``)
 TOL_DUAL = 1e-9
 _TOL_PIVOT = 1e-10
 _MAX_ITER = 500_000
@@ -53,9 +55,12 @@ _BELOW_TOL = float(np.nextafter(-_TOL_PIVOT, -math.inf))
 class SolveResult:
     """An optimal plan with its certifying duals.
 
-    ``primal_value - dual_value`` is guaranteed to be at most
-    ``1e-9 * (1 + |primal_value|)``; the plan reproduces the marginals
-    within 1e-12.
+    For the ``tol_dual`` of the solve (``TOL_DUAL`` by default) and the
+    bound tol_dual * (1 + max|c|) over the finite cells,
+    ``|primal_value - dual_value|`` is at most the bound, the duals exceed the
+    cost by at most the bound on every finite cell and are within it of the
+    cost on the plan's support.  The plan reproduces the marginals within
+    1e-12.
     """
 
     plan: Coupling
@@ -327,34 +332,28 @@ def _dual_value(duals: DualPotentials, space: ProductSpace) -> float:
     )
 
 
-def _feasible_slack(model, space, duals, tol_dual):
-    """The grid and the slack c - sum u on it; raises ``InvalidCertificateError``
-    unless max(sum u - c) over the finite cells is at most tol_dual * (1 + max|c|)."""
-    values, slack = _splitting_slack(model, space, duals.values)
-    worst = -slack.min()  # max(sum u - c) over the finite cells, bit for bit
-    scale = np.max(np.abs(values), where=np.isfinite(values), initial=0.0)
-    if worst > tol_dual * (1.0 + scale):
-        raise InvalidCertificateError(f"splitting inequality violated by {worst:.3e}")
-    return values, slack
-
-
 def _check_result(model, space, plan, duals, primal, dual, tol_dual):
-    gap = primal - dual
-    if not (-tol_dual <= gap <= tol_dual * (1.0 + abs(primal))):
-        raise InternalConsistencyError(f"duality gap {gap:.3e} out of tolerance")
+    """Raise unless the plan and duals certify each other.
+
+    The gap is read on the cost's scale, like the slack: the duals, and the
+    rounding in the dual value, scale with max|c| even where the value is 0.
+    """
     for a in range(space.n):
         err = np.max(np.abs(plan.marginal(a) - space.axes[a].weights))
         if err > 1e-12:
             raise InternalConsistencyError(f"axis-{a} marginal off by {err:.3e}")
-    bound = sum(space.shape) - space.n + 1
-    if len(plan.entries) > bound:
+    rank = sum(space.shape) - space.n + 1
+    if len(plan.entries) > rank:
         raise InternalConsistencyError(
-            f"support size {len(plan.entries)} exceeds the vertex bound {bound}"
+            f"support size {len(plan.entries)} exceeds the vertex bound {rank}"
         )
-    values, slack = _feasible_slack(model, space, duals, tol_dual)
+    values, slack, bound = _admissible_slack(model, space, duals.values, tol_dual)
+    gap = primal - dual
+    if not abs(gap) <= bound:
+        raise InternalConsistencyError(f"duality gap {gap:.3e} out of tolerance")
     for idx in plan.entries:
         cost, defect = float(values[idx]), float(slack[idx])
-        if abs(defect) > tol_dual * (1.0 + abs(cost)):
+        if abs(defect) > bound:
             raise InternalConsistencyError(
                 f"support cell {idx} is not tight: c={cost!r}, c - sum u={defect!r}"
             )
@@ -399,8 +398,8 @@ def duality_gap(
 ) -> float:
     """Primal cost of the plan minus the dual value of the potentials.
 
-    Raises ``InvalidCertificateError`` when the potentials violate the
-    splitting inequality on some finite-cost cell.
+    Raises ``InvalidCertificateError`` when the potentials exceed the cost
+    by more than ``tol_dual * (1 + max|c|)`` on some finite-cost cell.
     """
-    _feasible_slack(model, plan.space, duals, tol_dual)
+    _admissible_slack(model, plan.space, duals.values, tol_dual)
     return plan.transport_cost(model) - _dual_value(duals, plan.space)

@@ -19,10 +19,9 @@ from .core import (
     Coupling,
     DualPotentials,
     InconsistentCouplingError,
-    InvalidCertificateError,
     ProductSpace,
     UndefinedRegionError,
-    _splitting_slack,
+    _admissible_slack,
     cost_at,
 )
 
@@ -58,7 +57,11 @@ def _pair_blocks(ends, width: int):
 
 @dataclass(frozen=True)
 class SplittingSetReport:
-    """Finite-cost cells where the splitting inequality is tight."""
+    """Finite-cost cells where the splitting inequality is tight.
+
+    ``tol_split`` is the tolerance as given; the cells' slack is at most
+    ``tol_split * (1 + max|c|)``, and ``max_violation`` is the largest.
+    """
 
     cells: frozenset
     max_violation: float
@@ -71,16 +74,16 @@ def splitting_support(
     duals: DualPotentials,
     tol_split: float = 1e-9,
 ) -> SplittingSetReport:
-    """All finite-cost cells with c - sum_i u_i within ``tol_split`` of zero.
+    """All finite-cost cells with slack c - sum_i u_i at most ``tol_split * (1 + max|c|)``.
 
-    Raises ``InvalidCertificateError`` if some cell has a negative defect
-    beyond tolerance (the potentials would not be admissible).
+    The bound is ``core._admissible_slack``'s, on the scale of the largest
+    finite cost, so it admits the same duals as ``solve_exact``'s certificate
+    for the same tolerance.  Raises ``InvalidCertificateError`` if sum_i u_i
+    exceeds c by more than the bound on some finite cell (the potentials
+    would not be admissible).
     """
-    _, slack = _splitting_slack(model, space, duals.values)
-    worst = float(slack.min())
-    if worst < -tol_split:
-        raise InvalidCertificateError(f"potentials overshoot the cost by {-worst:.3e}")
-    tight = slack <= tol_split  # never an excluded cell: its slack is +inf
+    _, slack, bound = _admissible_slack(model, space, duals.values, tol_split)
+    tight = slack <= bound  # never an excluded cell: its slack is +inf
     cells = frozenset(map(tuple, np.argwhere(tight).tolist()))
     max_violation = float(np.max(slack[tight])) if cells else 0.0
     return SplittingSetReport(cells, max_violation, tol_split)

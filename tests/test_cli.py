@@ -302,8 +302,10 @@ class TestReports:
     def test_signature_prints_triples(self, capsys):
         code = main(["signature", "--cost", "expcos", "--samples", "5", "--seed", "7"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert out.count("(4,2,0)") == 5
+        captured = capsys.readouterr()
+        assert captured.err.count("(4,2,0)") == 5
+        report = json.loads(captured.out)
+        assert report["payload"]["signatures"] == [[4, 2, 0]] * 5
 
     @pytest.mark.parametrize("command, cost, key", [
         ("signature", "coulomb1d", "signatures"),

@@ -294,6 +294,20 @@ class TestCheckCMonotoneEquivalence:
         got = check_c_monotone(hook, cells, space, tol_mono=0.0)
         assert got and got == _reference_c_monotone(hook, cells, space, tol_mono=0.0)
 
+    def test_object_keys_across_blocks(self, monkeypatch, rng):
+        # 1600 points on each of 6 axes and cells at both corners: the keys
+        # span 1600^6 > 2^63, so they are Python ints, merged into the memo
+        # block after block
+        space = ProductSpace([_uniform(np.arange(1600.0) / 100.0)] * 6)
+        hook = UserHook(lambda xs: math.sin(xs[0][0] * xs[1][0] - xs[2][0] * xs[3][0]
+                                            + xs[4][0] * xs[5][0]), n=6)
+        cells = {(0,) * 6, (1599,) * 6}
+        cells |= {tuple(c) for c in rng.integers(1600, size=(10, 6)).tolist()}
+        assert 1600**6 > 2**63
+        monkeypatch.setattr(structure, "_PAIR_BLOCK", 62 * 8)  # 8 pairs of 31 bipartitions
+        got = check_c_monotone(hook, cells, space)
+        assert got and got == _reference_c_monotone(hook, cells, space)
+
 
 class TestCheckCMonotoneEdges:
     def test_infinite_given_cell_rejected(self):
